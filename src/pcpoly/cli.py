@@ -2,7 +2,7 @@
 
 Every numeric answer is printed from exact rationals; ``--format`` switches
 between human text, JSON, and CSV.  Exit status is 0 iff no survey check
-reported a violation.
+reported a violation, and 2 when ``PCPOLY_THREADS`` is not a positive integer.
 """
 
 from __future__ import annotations
@@ -278,8 +278,13 @@ def main(argv=None) -> int:
         g = _load_graph(args)
         _emit(_describe(spectral_radius(g, args.width)), fmt)
     elif args.command == "survey":
+        try:
+            threads = survey_mod.resolve_threads(args.threads)
+        except ValueError as exc:
+            print(f"pcpoly: error: {exc}", file=sys.stderr)
+            return 2
         if args.what == "nonreal":
-            row = survey_mod.survey_nonreal(args.n, args.threads)
+            row = survey_mod.survey_nonreal(args.n, threads)
             _emit(
                 {
                     "n": row.n,
@@ -291,7 +296,7 @@ def main(argv=None) -> int:
                 fmt,
             )
         elif args.what == "bounds":
-            res = survey_mod.survey_bounds(args.n, args.threads)
+            res = survey_mod.survey_bounds(args.n, threads)
             _emit(
                 {
                     "n": res["n"],
@@ -305,9 +310,9 @@ def main(argv=None) -> int:
             if res["violations"]:
                 exit_code = 1
         elif args.what == "dump":
-            print(survey_mod.graph_census_csv(args.n, args.width, args.threads), end="")
+            print(survey_mod.graph_census_csv(args.n, args.width, threads), end="")
         else:
-            lo, hi = survey_mod.average_beta(args.n, args.width, args.threads)
+            lo, hi = survey_mod.average_beta(args.n, args.width, threads)
             _emit({"average_lo": str(lo), "average_hi": str(hi),
                    "approx": float((lo + hi) / 2)}, fmt)
     return exit_code

@@ -2,18 +2,36 @@
 
 Graphs stream as edge-slot bitmasks; workers return exact integer tallies
 merged associatively, so results are identical at any thread count.
+
+The growth rate and every root fact the censuses check depend only on the
+clique profile (c_0..c_omega), and only a few profiles occur (54 among the
+2^15 graphs on six vertices).  So each census whose verdict is a function of
+a cheap invariant is split in two:
+
+* per graph, only cheap work: mask -> adjacency, the invariant key (clique
+  counts; (max degree, clique counts of the complement) for the local-lemma
+  census) and whatever a check needs of the labelled graph itself (graph6 of
+  violators, equality-family adjacencies, the Fisher-equality structure
+  test, dump flags, the planarity filter);
+* once per key, the exact algebra (Sturm counts, root refinement, certified
+  comparison) in a pure ``_decide_*(key, targets)``.  Workers that need the
+  labelled graph keep a per-job memo of it (``_KeyMemo``); censuses that need
+  no labelled graph only tally graphs per profile, and the parent runs the
+  algebra once per profile.
+
+Because every decision is a pure function of its key, chunking cannot change
+a result.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
 from .cliquepoly import (
-    beta,
-    beta_algebraic,
     clique_counts,
     decycling_number,
     independence_polynomial,
@@ -29,7 +47,10 @@ from .exactpoly import (
     eval_at,
 )
 from .extremal import max_beta_equality_family, max_beta_pc, min_beta_graph
-from .graphs import Graph, edge_slots, graph_from_edge_mask, to_graph6
+from .graphs import Graph, adj_from_edge_mask, edge_slots, graph_from_edge_mask, to_graph6
+
+# starting enclosure width of beta before a certified comparison refines it
+_COMPARE_WIDTH = Fraction(1, 2**20)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -37,7 +58,13 @@ def resolve_threads(threads: int | None = None) -> int:
         return threads
     env = os.environ.get("PCPOLY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(f"PCPOLY_THREADS must be a positive integer, got {env!r}")
+        return value
     return max(1, os.cpu_count() or 1)
 
 
@@ -60,6 +87,47 @@ def _run_chunked(worker, n: int, threads: int, extra=()):
         return pool.map(worker, jobs)
 
 
+class _KeyMemo(dict):
+    """Per-job memo of a pure ``decide(key, targets)``."""
+
+    def __init__(self, decide, targets=None):
+        super().__init__()
+        self.decide = decide
+        self.targets = targets
+
+    def __missing__(self, key):
+        value = self[key] = self.decide(key, self.targets)
+        return value
+
+
+def _worker_profiles(job):
+    n, start, end = job
+    slots = edge_slots(n)
+    tally = Counter()
+    for mask in range(start, end):
+        tally[tuple(clique_counts(adj_from_edge_mask(n, mask, slots), n))] += 1
+    return tally
+
+
+def _profile_tally(n: int, threads: int) -> Counter:
+    """Labelled graphs on n vertices per clique profile."""
+    tally = Counter()
+    for part in _run_chunked(_worker_profiles, n, threads):
+        tally.update(part)
+    return tally
+
+
+def _edges(counts) -> int:
+    return counts[2] if len(counts) > 2 else 0
+
+
+
+
+def _compare_target(b: AlgebraicReal, poly, lo, hi) -> int:
+    """Exact sign of b minus the algebraic target (poly, lo, hi)."""
+    return b.compare_fraction(lo) if lo == hi else b.compare(AlgebraicReal(poly, lo, hi))
+
+
 # ---------------------------------------------------------------------------
 # non-real root census
 
@@ -73,33 +141,18 @@ class CensusRow:
     roots_nonreal: int
 
 
-def _worker_nonreal(job):
-    n, start, end = job
-    slots = edge_slots(n)
-    polys = 0
-    roots_total = 0
-    roots_nonreal = 0
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        counts = clique_counts(g.adj, n)
-        omega = len(counts) - 1
-        roots_total += omega
-        nr = count_nonreal_roots(pc_poly_from_counts(counts))
-        if nr:
-            polys += 1
-            roots_nonreal += nr
-    return polys, roots_total, roots_nonreal
-
-
 def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
     """Census of recurrence polynomials with non-real roots, exact integers."""
     if not 1 <= n <= 7:
         raise ValueError("census supported for 1 <= n <= 7")
     threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_nonreal, n, threads)
-    polys = sum(p[0] for p in parts)
-    roots_total = sum(p[1] for p in parts)
-    roots_nonreal = sum(p[2] for p in parts)
+    polys = roots_total = roots_nonreal = 0
+    for counts, graphs in _profile_tally(n, threads).items():
+        roots_total += graphs * (len(counts) - 1)
+        nonreal = count_nonreal_roots(pc_poly_from_counts(counts))
+        if nonreal:
+            polys += graphs
+            roots_nonreal += graphs * nonreal
     total = 1 << (n * (n - 1) // 2)
     return CensusRow(n, total, polys, roots_total, roots_nonreal)
 
@@ -117,41 +170,51 @@ def census_csv(rows) -> str:
 # bound survey
 
 
+def _decide_bounds(counts, n: int):
+    """(Fisher equality, violated bounds, edge-density envelope) of a profile.
+
+    Fisher equality is a violation only for a graph that is not complete
+    multipartite with equal parts, which the caller checks per graph.
+    """
+    omega = len(counts) - 1
+    k = _edges(counts)
+    pc = pc_poly_from_counts(counts)
+    enc = dominant_real_root(pc, Fraction(1, 10**9))
+    b = AlgebraicReal.from_enclosure(pc, enc)
+    names = []
+    cmp_fisher = b.compare_fraction(Fraction(n * n - 2 * k, n))
+    if cmp_fisher < 0:
+        names.append("fisher_lower")
+    if b.compare_fraction(Fraction(n, omega)) < 0:
+        names.append("clique_number_lower")
+    if b.compare_fraction(Fraction(n)) > 0:
+        names.append("vertex_upper")
+    if k and count_nonreal_roots(pc) == 0:
+        if b.compare_fraction(Fraction(n * n - k, n)) > 0:
+            names.append("samuelson_upper")
+    envelope = None
+    # edge density envelope e(G) = (n - beta)/k
+    if k:
+        envelope = ((n - enc.hi) / k, (n - enc.lo) / k)
+        if envelope[0] > Fraction(2, n):
+            names.append("edge_density_upper")
+    return cmp_fisher == 0 and k > 0, tuple(names), envelope
+
+
 def _worker_bounds(job):
     n, start, end = job
     slots = edge_slots(n)
+    verdicts = _KeyMemo(_decide_bounds, n)
     violations = []
-    envelope_lo, envelope_hi = None, None
     for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        counts = clique_counts(g.adj, n)
-        omega = len(counts) - 1
-        k = counts[2] if omega >= 2 else 0
-        pc = pc_poly_from_counts(counts)
-        b = beta_algebraic(g)
-        fisher = Fraction(n * n - 2 * k, n)
-        cmp_fisher = b.compare_fraction(fisher)
-        if cmp_fisher < 0:
-            violations.append((to_graph6(g), "fisher_lower"))
-        if cmp_fisher == 0 and k > 0 and not is_complete_multipartite_equal_parts(g):
-            violations.append((to_graph6(g), "fisher_equality_characterization"))
-        if b.compare_fraction(Fraction(n, omega)) < 0:
-            violations.append((to_graph6(g), "clique_number_lower"))
-        if b.compare_fraction(Fraction(n)) > 0:
-            violations.append((to_graph6(g), "vertex_upper"))
-        if k and count_nonreal_roots(pc) == 0:
-            if b.compare_fraction(Fraction(n * n - k, n)) > 0:
-                violations.append((to_graph6(g), "samuelson_upper"))
-        # edge density envelope e(G) = (n - beta)/k
-        if k:
-            enc = beta(g, Fraction(1, 10**9))
-            lo = (n - enc.hi) / k
-            hi = (n - enc.lo) / k
-            envelope_lo = lo if envelope_lo is None else min(envelope_lo, lo)
-            envelope_hi = hi if envelope_hi is None else max(envelope_hi, hi)
-            if lo > Fraction(2, n):
-                violations.append((to_graph6(g), "edge_density_upper"))
-    return violations, envelope_lo, envelope_hi
+        adj = adj_from_edge_mask(n, mask, slots)
+        fisher_equal, names, _ = verdicts[tuple(clique_counts(adj, n))]
+        if fisher_equal or names:
+            g = Graph(n, adj)
+            if fisher_equal and not is_complete_multipartite_equal_parts(g):
+                names = ("fisher_equality_characterization",) + names
+            violations.extend((to_graph6(g), name) for name in names)
+    return violations, [v[2] for v in verdicts.values() if v[2]]
 
 
 def survey_bounds(n: int, threads: int | None = None) -> dict:
@@ -161,12 +224,13 @@ def survey_bounds(n: int, threads: int | None = None) -> dict:
     threads = resolve_threads(threads)
     parts = _run_chunked(_worker_bounds, n, threads)
     violations = [v for p in parts for v in p[0]]
-    lows = [p[1] for p in parts if p[1] is not None]
-    highs = [p[2] for p in parts if p[2] is not None]
+    envelopes = [e for p in parts for e in p[1]]
     return {
         "n": n,
         "violations": violations,
-        "density_envelope": (min(lows), max(highs)) if lows else None,
+        "density_envelope": (
+            (min(e[0] for e in envelopes), max(e[1] for e in envelopes)) if envelopes else None
+        ),
     }
 
 
@@ -174,17 +238,8 @@ def survey_bounds(n: int, threads: int | None = None) -> dict:
 # average growth rate
 
 
-def _worker_average(job):
-    n, start, end, width = job
-    slots = edge_slots(n)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        enc = beta(g, width)
-        lo += enc.lo
-        hi += enc.hi
-    return lo, hi
+def _decide_beta(counts, width):
+    return dominant_real_root(pc_poly_from_counts(counts), width)
 
 
 def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | None = None):
@@ -192,11 +247,13 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | No
     if not 1 <= n <= 6:
         raise ValueError("average supported for 1 <= n <= 6")
     threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_average, n, threads, extra=(width,))
+    lo = hi = Fraction(0)
+    for counts, graphs in _profile_tally(n, threads).items():
+        enc = _decide_beta(counts, width)
+        lo += graphs * enc.lo
+        hi += graphs * enc.hi
     total = 1 << (n * (n - 1) // 2)
-    lo = sum(p[0] for p in parts) / total
-    hi = sum(p[1] for p in parts) / total
-    return lo, hi
+    return lo / total, hi / total
 
 
 # ---------------------------------------------------------------------------
@@ -237,48 +294,47 @@ def _prepare_extremal_targets(n: int):
     return targets
 
 
+def _decide_extremal(counts, targets) -> tuple[int, int]:
+    """Exact signs of beta minus the maximum and minus the minimum at its k."""
+    tgt = targets[_edges(counts)]
+    pc = pc_poly_from_counts(counts)
+    b = None
+    to_max = -1  # no root at or above star_lo: strictly below the maximum
+    if not descartes_no_root_above(pc, tgt["star_lo"]):
+        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
+        to_max = _compare_target(b, tgt["star_poly"], tgt["star_lo"], tgt["star_hi"])
+    if len(counts) <= 3:
+        return to_max, 0  # triangle-free: the growth rate is the quadratic value exactly
+    if eval_at(pc, tgt["min_hi"]) < 0:
+        return to_max, 1  # a root above min_hi: strictly above the minimum
+    if b is None:
+        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
+    return to_max, _compare_target(b, tgt["min_poly"], tgt["min_lo"], tgt["min_hi"])
+
+
 def _worker_extremal(job):
     n, start, end, targets = job
     slots = edge_slots(n)
+    verdicts = _KeyMemo(_decide_extremal, targets)
     max_viol = []
     min_viol = []
     max_equal: dict[int, list] = {}
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
     for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        counts = clique_counts(g.adj, n)
-        omega = len(counts) - 1
-        k = counts[2] if omega >= 2 else 0
-        tgt = targets[k]
-        pc = pc_poly_from_counts(counts)
-        # --- maximum side
-        if not descartes_no_root_above(pc, tgt["star_lo"]):
-            b = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**20)))
-            star = AlgebraicReal(tgt["star_poly"], tgt["star_lo"], tgt["star_hi"])
-            cmp = b.compare(star)
-            if cmp > 0:
-                max_viol.append((k, to_graph6(g)))
-            elif cmp == 0:
-                max_equal.setdefault(k, []).append(g.adj)
-        # --- minimum side
-        if omega <= 2:
-            # triangle-free: the growth rate is the quadratic value exactly
+        adj = adj_from_edge_mask(n, mask, slots)
+        counts = tuple(clique_counts(adj, n))
+        k = _edges(counts)
+        to_max, to_min = verdicts[counts]
+        if to_max > 0:
+            max_viol.append((k, to_graph6(Graph(n, adj))))
+        elif to_max == 0:
+            max_equal.setdefault(k, []).append(adj)
+        if to_min < 0:
+            min_viol.append((k, to_graph6(Graph(n, adj))))
+        elif to_min == 0:
             min_equal_counts[k] = min_equal_counts.get(k, 0) + 1
-            continue
-        if eval_at(pc, tgt["min_hi"]) < 0:
-            continue  # certified strictly above the minimum
-        b = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**20)))
-        tmin = AlgebraicReal(tgt["min_poly"], tgt["min_lo"], tgt["min_hi"])
-        if tgt["min_lo"] == tgt["min_hi"]:
-            cmp = b.compare_fraction(tgt["min_lo"])
-        else:
-            cmp = b.compare(tmin)
-        if cmp < 0:
-            min_viol.append((k, to_graph6(g)))
-        elif cmp == 0:
-            min_equal_counts[k] = min_equal_counts.get(k, 0) + 1
-            if 4 * k <= n * n:
+            if len(counts) > 3 and 4 * k <= n * n:
                 # below the Mantel bound only triangle-free graphs may attain
                 min_equal_nontf[k] = min_equal_nontf.get(k, 0) + 1
     return max_viol, min_viol, max_equal, min_equal_counts, min_equal_nontf
@@ -351,7 +407,6 @@ def _int_eval_sign(poly, num: int, den: int) -> int:
 
 
 def _worker_matching(job):
-    from .graphs import adj_from_edge_mask
     from .matching import matching_counts_from_adj
 
     n, start, end = job
@@ -406,30 +461,35 @@ def census_matching_check(n: int, threads: int | None = None) -> dict:
 # local-lemma threshold census
 
 
+def _decide_lll(key, targets=None) -> bool:
+    """True when beta(complement) exceeds d^d/(d-1)^(d-1) for max degree d."""
+    d, comp_counts = key
+    pc = pc_poly_from_counts(comp_counts)
+    bound = Fraction(d**d, (d - 1) ** (d - 1))
+    # threshold >= (d-1)^(d-1)/d^d  <=>  beta(complement) <= d^d/(d-1)^(d-1)
+    if descartes_no_root_above(pc, bound):
+        return False
+    return AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH).compare_fraction(bound) > 0
+
+
 def _worker_lll(job):
     n, start, end = job
     slots = edge_slots(n)
+    verdicts = _KeyMemo(_decide_lll)
     viol = []
     for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        d = g.max_degree()
+        adj = adj_from_edge_mask(n, mask, slots)
+        d = max(row.bit_count() for row in adj)
         if d < 2:
             continue
-        comp_counts = clique_counts(_complement_adj(g), n)
-        pc = pc_poly_from_counts(comp_counts)
-        bound = Fraction(d**d, (d - 1) ** (d - 1))
-        # threshold >= (d-1)^(d-1)/d^d  <=>  beta(complement) <= d^d/(d-1)^(d-1)
-        if descartes_no_root_above(pc, bound):
-            continue
-        b = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**20)))
-        if b.compare_fraction(bound) > 0:
-            viol.append(to_graph6(g))
+        if verdicts[d, tuple(clique_counts(_complement_adj(adj, n), n))]:
+            viol.append(to_graph6(Graph(n, adj)))
     return (viol,)
 
 
-def _complement_adj(g: Graph):
-    full = (1 << g.n) - 1
-    return tuple((full ^ row ^ (1 << i)) & full for i, row in enumerate(g.adj))
+def _complement_adj(adj, n: int):
+    full = (1 << n) - 1
+    return tuple((full ^ row ^ (1 << i)) & full for i, row in enumerate(adj))
 
 
 def census_lll_check(n: int, threads: int | None = None) -> list:
@@ -464,7 +524,6 @@ def _dependence_from_mask(adj, mask: int) -> tuple:
 
 def _worker_identities(job):
     from .exactpoly import add, derivative, neg, sub, trim
-    from .graphs import adj_from_edge_mask
 
     n, start, end = job
     slots = edge_slots(n)
@@ -616,11 +675,31 @@ def _prepare_planar_targets(n: int):
     return targets
 
 
+def _decide_planar(counts, targets) -> tuple[int, int]:
+    """Exact signs of beta minus the planar minimum and minus the maximum at its k."""
+    tgt = targets[_edges(counts)]
+    poly_m, lo_m, hi_m = tgt["minus"]
+    poly_p, lo_p, hi_p = tgt["plus"]
+    pc = pc_poly_from_counts(counts)
+    b = None
+    to_min = 1  # a negative value at hi certifies beta strictly above
+    if eval_at(pc, hi_m) >= 0:
+        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
+        to_min = _compare_target(b, poly_m, lo_m, hi_m)
+    to_max = -1  # no root at or above lo: strictly below the maximum
+    if not descartes_no_root_above(pc, lo_p):
+        if b is None:
+            b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
+        to_max = _compare_target(b, poly_p, lo_p, hi_p)
+    return to_min, to_max
+
+
 def _worker_planar(job):
     from .extremal import is_planar_small
 
     n, start, end, targets = job
     slots = edge_slots(n)
+    verdicts = _KeyMemo(_decide_planar, targets)
     viol = []
     attained: dict = {}
     for mask in range(start, end):
@@ -628,36 +707,16 @@ def _worker_planar(job):
         if not is_planar_small(g):
             continue
         k = g.edge_count
-        tgt = targets[k]
-        counts = clique_counts(g.adj, n)
-        pc = pc_poly_from_counts(counts)
         att = attained.setdefault(k, [0, 0])
-        poly_m, lo_m, hi_m = tgt["minus"]
-        poly_p, lo_p, hi_p = tgt["plus"]
-        # lower end: a negative value at hi certifies beta strictly above
-        if eval_at(pc, hi_m) >= 0:
-            b = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**20)))
-            cmp = (
-                b.compare_fraction(lo_m)
-                if lo_m == hi_m
-                else b.compare(AlgebraicReal(poly_m, lo_m, hi_m))
-            )
-            if cmp < 0:
-                viol.append((k, to_graph6(g), "below_min"))
-            elif cmp == 0:
-                att[0] += 1
-        # upper end
-        if not descartes_no_root_above(pc, lo_p):
-            b = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**20)))
-            cmp = (
-                b.compare_fraction(lo_p)
-                if lo_p == hi_p
-                else b.compare(AlgebraicReal(poly_p, lo_p, hi_p))
-            )
-            if cmp > 0:
-                viol.append((k, to_graph6(g), "above_max"))
-            elif cmp == 0:
-                att[1] += 1
+        to_min, to_max = verdicts[tuple(clique_counts(g.adj, n))]
+        if to_min < 0:
+            viol.append((k, to_graph6(g), "below_min"))
+        elif to_min == 0:
+            att[0] += 1
+        if to_max > 0:
+            viol.append((k, to_graph6(g), "above_max"))
+        elif to_max == 0:
+            att[1] += 1
     return viol, attained
 
 
@@ -682,22 +741,21 @@ def _worker_dump(job):
 
     n, start, end, width = job
     slots = edge_slots(n)
+    enclosures = _KeyMemo(_decide_beta, width)
     rows = []
     for mask in range(start, end):
         g = graph_from_edge_mask(n, mask, slots)
-        enc = beta(g, width)
+        counts = tuple(clique_counts(g.adj, n))
+        enc = enclosures[counts]
         flags = []
-        counts = clique_counts(g.adj, n)
-        if len(counts) - 1 <= 2:
+        if len(counts) <= 3:
             flags.append("triangle-free")
         if threshold_vector_of(g) is not None:
             flags.append("threshold")
-        if n <= 6 and is_planar_small(g):
+        if is_planar_small(g):
             flags.append("planar")
-        rows.append(
-            (mask, f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}")
-        )
-    return rows
+        rows.append(f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}")
+    return "\n".join(rows)
 
 
 def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
@@ -710,8 +768,7 @@ def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
         raise ValueError("per-graph dump supported for 1 <= n <= 6")
     threads = resolve_threads(threads)
     parts = _run_chunked(_worker_dump, n, threads, extra=(width,))
-    rows = sorted((r for p in parts for r in p), key=lambda r: r[0])
-    return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(r[1] for r in rows) + "\n"
+    return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(parts) + "\n"
 
 
 def _worker_decycling(job):

@@ -92,6 +92,16 @@ def test_survey_verb(capsys):
     assert code == 0 and payload["violations"] == []
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_survey_rejects_bad_thread_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("PCPOLY_THREADS", value)
+    assert main(["survey", "nonreal", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "PCPOLY_THREADS" in lines[0] and repr(value) in lines[0]
+
+
 def test_survey_dump(capsys):
     code = main(["--threads", "2", "survey", "dump", "3"])
     out = capsys.readouterr().out

@@ -118,9 +118,9 @@ def test_mean_clique_polynomial():
 def test_smallest_root_sandwich():
     for n, p in ((4, F(1, 2)), (5, F(1, 3)), (6, F(3, 4))):
         smallest = random_root_ladder(n, p, n, F(1, 10**12))
-        lo_bound = p ** (n - 1) / (1 + (n - 1) * (1 - p))
-        hi_bound = p ** (n - 1) / (1 + (n - 1) * (1 - p))
+        # sqrt(1-p) >= 1-p, so lo_bound <= hi_bound
         lo_bound = p ** (n - 1) / (1 + (n - 1) * _sqrt_upper(1 - p))
+        hi_bound = p ** (n - 1) / (1 + (n - 1) * (1 - p))
         assert smallest.hi >= lo_bound - F(1, 10**9)
         assert smallest.lo <= hi_bound + F(1, 10**9)
 

@@ -1,21 +1,38 @@
 """Census plumbing: tallies, determinism, bounds survey, averages."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from pcpoly.graphs import iter_all_graphs
+from pcpoly import survey
+from pcpoly.graphs import complement, iter_all_graphs
 from pcpoly.cliquepoly import clique_profile
 from pcpoly.survey import (
     average_beta,
     census_csv,
     census_decycling_check,
+    census_extremal_check,
     census_lll_check,
     census_matching_check,
+    census_planar_check,
+    graph_census_csv,
     resolve_threads,
     survey_bounds,
     survey_nonreal,
 )
+
+# every census that decides once per invariant key, run at n=5 with the thread count
+KEYED_CENSUSES = {
+    "nonreal": lambda threads: survey_nonreal(5, threads),
+    "bounds": lambda threads: survey_bounds(5, threads),
+    "average": lambda threads: average_beta(5, threads=threads),
+    "dump": lambda threads: graph_census_csv(5, threads=threads),
+    "extremal": lambda threads: census_extremal_check(5, threads),
+    "planar": lambda threads: census_planar_check(5, threads),
+    "lll": lambda threads: census_lll_check(5, threads),
+}
 
 
 def test_rows_small():
@@ -50,6 +67,65 @@ def test_threads_do_not_change_output():
     rows = [survey_nonreal(4, threads) for threads in (1, 2, 3)]
     assert all(r == rows[0] for r in rows)
     assert len({census_csv([r]) for r in rows}) == 1
+    for name, census in KEYED_CENSUSES.items():
+        results = [census(threads) for threads in (1, 2, 3)]
+        assert results[1] == results[0] and results[2] == results[0], name
+
+
+def test_keyed_census_outputs_pinned():
+    # values of the per-graph implementation these censuses replaced
+    text = graph_census_csv(5, threads=1)
+    assert len(text.encode()) == 59667
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a23d6bb06631e53153dc29f99bec8bf7482329623c990bd5c305b678c4c16762"
+    )
+    assert average_beta(5, threads=1) == (
+        F(32133909114405, 8796093022208), F(32133909119367, 8796093022208)
+    )
+    res = survey_bounds(5, 1)
+    assert res["violations"] == []
+    assert res["density_envelope"] == (F(896411867, 4294967296), F(2, 5))
+
+
+def test_keyed_census_outputs_pinned_n6():
+    text = graph_census_csv(6)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "36e867f4a185968a3d3a57e3544c2885360d78e52500673286553b418707193b"
+    )
+    res = survey_bounds(6)
+    assert res["violations"] == []
+    assert res["density_envelope"] == (F(4411646399, 25769803776), F(1, 3))
+    res = census_planar_check(6)
+    assert res["violations"] == []
+    assert res["attained"] == {
+        0: [1, 1], 1: [15, 15], 2: [105, 105], 3: [435, 20], 4: [1125, 240],
+        5: [1773, 90], 6: [1560, 15], 7: [660, 135], 8: [105, 180], 9: [510, 60],
+        10: [585, 300], 11: [180, 585], 12: [15, 180],
+    }
+
+
+def _lll_key(g):
+    return g.max_degree(), clique_profile(complement(g)).counts
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_CENSUSES))
+def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
+    calls = Counter()
+    for fn in ("count_nonreal_roots", "dominant_real_root", "descartes_no_root_above"):
+        original = getattr(survey, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(survey, fn, counted)
+    KEYED_CENSUSES[name](1)
+    key = _lll_key if name == "lll" else (lambda g: clique_profile(g).counts)
+    keys = len({key(g) for g in iter_all_graphs(5)})
+    jobs = 4  # one thread runs four chunks
+    targets = 11 if name == "extremal" else 0  # one maximum per edge count 0..10
+    for fn, count in calls.items():
+        assert count <= keys * jobs + targets, (fn, count, keys)
 
 
 def test_census_csv_format():
@@ -87,6 +163,9 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("PCPOLY_THREADS", "3")
     assert resolve_threads(None) == 3
     assert resolve_threads(5) == 5
+    monkeypatch.setenv("PCPOLY_THREADS", "abc")
+    with pytest.raises(ValueError, match="PCPOLY_THREADS"):
+        resolve_threads(None)
     monkeypatch.delenv("PCPOLY_THREADS")
     assert resolve_threads(None) >= 1
 
