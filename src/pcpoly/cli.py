@@ -2,7 +2,8 @@
 
 Every numeric answer is printed from exact rationals; ``--format`` switches
 between human text, JSON, and CSV.  Exit status is 0 iff no survey check
-reported a violation, and 2 when ``PCPOLY_THREADS`` is not a positive integer.
+reported a violation, and 2 on a user error (a malformed graph, a size out of
+range, a bad ``PCPOLY_THREADS``), which prints one ``pcpoly: error:`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .cliquepoly import (
     spectral_radius,
 )
 from .extremal import max_beta_graph, min_beta_graph, nordhaus_gaddum, planar_extremes
-from .exactpoly import QuadSurd, RootEnclosure
+from .exactpoly import DEFAULT_WIDTH, QuadSurd, RootEnclosure
 from .graphs import parse_graph, to_edge_list, to_graph6
 from .matching import adjoint_polynomial, matching_polynomials, t_largest
 from .monoid import count_normal_forms, lie_dimensions, m_sequence
@@ -154,11 +155,19 @@ def main(argv=None) -> int:
     # global flags may appear before or after the verb; fill the fallbacks here
     # (parser-level set_defaults would mutate the shared parent actions)
     if not hasattr(args, "width"):
-        args.width = Fraction(1, 10**12)
+        args.width = DEFAULT_WIDTH
     if not hasattr(args, "format"):
         args.format = "text"
     if not hasattr(args, "threads"):
         args.threads = None
+    try:
+        return _run(args)
+    except ValueError as exc:  # GraphError included: input and range checks
+        print(f"pcpoly: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     fmt = args.format
     exit_code = 0
 
@@ -278,11 +287,7 @@ def main(argv=None) -> int:
         g = _load_graph(args)
         _emit(_describe(spectral_radius(g, args.width)), fmt)
     elif args.command == "survey":
-        try:
-            threads = survey_mod.resolve_threads(args.threads)
-        except ValueError as exc:
-            print(f"pcpoly: error: {exc}", file=sys.stderr)
-            return 2
+        threads = survey_mod.resolve_threads(args.threads)
         if args.what == "nonreal":
             row = survey_mod.survey_nonreal(args.n, threads)
             _emit(

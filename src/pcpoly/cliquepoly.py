@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactpoly import (
+    DEFAULT_WIDTH,
     AlgebraicReal,
     RootEnclosure,
     derivative,
@@ -22,8 +23,6 @@ from .exactpoly import (
     trim,
 )
 from .graphs import Graph, bits, complement
-
-DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)

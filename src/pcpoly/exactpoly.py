@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+DEFAULT_WIDTH = Fraction(1, 10**12)
+
 
 # ---------------------------------------------------------------------------
 # basic arithmetic
@@ -27,10 +29,6 @@ def trim(coeffs) -> tuple:
 
 def degree(p) -> int:
     return len(p) - 1
-
-
-def is_zero(p) -> bool:
-    return len(p) == 0
 
 
 def add(p, q):
@@ -78,11 +76,6 @@ def eval_at(p, x):
 
 def derivative(p):
     return trim(i * p[i] for i in range(1, len(p)))
-
-
-def monic_over_q(p):
-    lc = Fraction(p[-1])
-    return tuple(Fraction(c) / lc for c in p)
 
 
 def to_fraction_poly(p):
@@ -264,8 +257,23 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at(p, x) -> int:
+    """Sign of p(x) for an integer polynomial ``p`` and a rational ``x = n/d``.
+
+    Evaluates d^k p(n/d), k = deg p, by Horner in integers: no rational
+    normalization, and the sign is the same because d > 0.
+    """
+    n, d = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p):
+        acc = acc * n + c * power
+        power *= d
+    return (acc > 0) - (acc < 0)
+
+
 def variations_at(chain, x) -> int:
-    return _variations([_sign(eval_at(f, x)) for f in chain])
+    return _variations([_sign_at(f, x) for f in chain])
 
 
 def variations_at_inf(chain, positive: bool) -> int:
@@ -354,7 +362,7 @@ def _try_rational_root(p, lo, hi):
             continue
         for num in range(first, last + 1):
             cand = Fraction(num, den)
-            if cand > lo and eval_at(p, cand) == 0:
+            if cand > lo and _sign_at(p, cand) == 0:
                 return cand
     return None
 
@@ -365,19 +373,19 @@ def _refine_simple_root(p, chain, lo, hi, width):
     if exact is not None:
         return exact, exact
     # move lo off an adjacent root without skipping over the enclosed one
-    if eval_at(p, lo) == 0:
+    if _sign_at(p, lo) == 0:
         step = (hi - lo) / 4
         while True:
             cand = lo + step
-            if eval_at(p, cand) == 0:
+            if _sign_at(p, cand) == 0:
                 return cand, cand
             if count_roots_halfopen(chain, cand, hi) == 1:
                 lo = cand
                 break
             step /= 4
-    if eval_at(p, hi) == 0:
+    if _sign_at(p, hi) == 0:
         return hi, hi
-    s_lo = _sign(eval_at(p, lo))
+    s_lo = _sign_at(p, lo)
     retry_exact = True
     while hi - lo > width:
         if retry_exact and hi - lo < 2:
@@ -386,49 +394,68 @@ def _refine_simple_root(p, chain, lo, hi, width):
             if exact is not None:
                 return exact, exact
         mid = (lo + hi) / 2
-        v = eval_at(p, mid)
-        if v == 0:
+        s = _sign_at(p, mid)
+        if s == 0:
             return mid, mid
-        if _sign(v) == s_lo:
+        if s == s_lo:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def isolate_real_roots(p, width=Fraction(1, 10**12)):
-    """Disjoint enclosures of all distinct real roots, sorted ascending.
+def _root_enclosures(factor, mult, sqfull, width):
+    """Enclosures of the real roots of squarefree ``factor``, largest first.
 
-    Multiplicities come from the squarefree decomposition.  Every non-exact
-    enclosure carries a sign change of the squarefree part at its endpoints
-    (endpoints are nudged off roots of other factors).
+    Bisects the Cauchy-bound interval at rational midpoints, counting roots
+    in each half-open (a, b] with the Sturm chain and searching the right
+    half first.  Each interval that holds one root is refined and nudged
+    only when the caller asks for the next enclosure.
     """
+    chain = sturm_chain(factor)
+    bound = cauchy_bound(factor)
+    total = count_roots_halfopen(chain, -bound, bound)
+    stack = [(-bound, bound, total)]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            lo, hi = _refine_simple_root(factor, chain, a, b, width)
+            if lo != hi:
+                lo, hi = _nudge_off_roots(factor, sqfull, lo, hi)
+            yield RootEnclosure(lo, hi, mult)
+            continue
+        m = (a + b) / 2
+        left = count_roots_halfopen(chain, a, m)
+        stack.append((a, m, left))
+        stack.append((m, b, cnt - left))
+
+
+def _enclosures_per_factor(p, width):
+    """One lazy :func:`_root_enclosures` iterator per squarefree factor of ``p``."""
     ip = clear_denominators(to_fraction_poly(trim(p)))
     if not ip:
         raise ValueError("zero polynomial")
     if width <= 0:
         raise ValueError("width must be positive")
-    out = []
     sqfull = squarefree_part(ip)
-    for mult, factor in squarefree_decomposition(ip):
-        chain = sturm_chain(factor)
-        bound = cauchy_bound(factor)
-        total = count_roots_halfopen(chain, -bound, bound)
-        stack = [(-bound, bound, total)]
-        while stack:
-            a, b, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                lo, hi = _refine_simple_root(factor, chain, a, b, width)
-                if lo != hi:
-                    lo, hi = _nudge_off_roots(factor, sqfull, lo, hi)
-                out.append(RootEnclosure(lo, hi, mult))
-                continue
-            m = (a + b) / 2
-            left = count_roots_halfopen(chain, a, m)
-            stack.append((a, m, left))
-            stack.append((m, b, cnt - left))
+    return [
+        _root_enclosures(factor, mult, sqfull, width)
+        for mult, factor in squarefree_decomposition(ip)
+    ]
+
+
+def isolate_real_roots(p, width=DEFAULT_WIDTH):
+    """Disjoint enclosures of all distinct real roots, sorted ascending.
+
+    Multiplicities come from the squarefree decomposition.  Every root of
+    every squarefree factor is refined to ``width``.  Every non-exact
+    enclosure carries a sign change of the squarefree part at its endpoints
+    (endpoints are nudged off roots of other factors).  Signs are taken by
+    integer Horner (:func:`_sign_at`), so every decision is exact.
+    """
+    out = [enc for encs in _enclosures_per_factor(p, width) for enc in encs]
     out.sort(key=lambda e: (e.lo, e.hi))
     return out
 
@@ -439,38 +466,49 @@ def _nudge_off_roots(factor, sqfull, lo, hi):
     The enclosed root stays strictly inside; hitting it exactly collapses the
     interval to a point.
     """
-    s_lo = _sign(eval_at(factor, lo))
-    while eval_at(sqfull, lo) == 0:
+    s_lo = _sign_at(factor, lo)
+    while _sign_at(sqfull, lo) == 0:
         step = (hi - lo) / 4
         while True:
             cand = lo + step
-            v = eval_at(factor, cand)
-            if v == 0:
+            s = _sign_at(factor, cand)
+            if s == 0:
                 return cand, cand
-            if _sign(v) == s_lo:
+            if s == s_lo:
                 lo = cand
                 break
             step /= 4
-    while eval_at(sqfull, hi) == 0:
+    while _sign_at(sqfull, hi) == 0:
         step = (hi - lo) / 4
         while True:
             cand = hi - step
-            v = eval_at(factor, cand)
-            if v == 0:
+            s = _sign_at(factor, cand)
+            if s == 0:
                 return cand, cand
-            if _sign(v) != s_lo:
+            if s != s_lo:
                 hi = cand
                 break
             step /= 4
     return lo, hi
 
 
-def dominant_real_root(p, width=Fraction(1, 10**12)) -> RootEnclosure:
-    """Enclosure of the largest real root."""
-    roots = isolate_real_roots(p, width)
-    if not roots:
+def dominant_real_root(p, width=DEFAULT_WIDTH) -> RootEnclosure:
+    """Enclosure of the largest real root, equal to ``isolate_real_roots(p, width)[-1]``.
+
+    Only the top root of each squarefree factor is isolated and refined: the
+    bisection stops at the first single-root interval from the right, and
+    the other roots are never refined.  Signs are taken by integer Horner
+    (:func:`_sign_at`).
+    """
+    best = None
+    for encs in _enclosures_per_factor(p, width):
+        top = next(encs, None)
+        # on equal keys the later factor wins, like the stable sort in isolate_real_roots
+        if top is not None and (best is None or (top.lo, top.hi) >= (best.lo, best.hi)):
+            best = top
+    if best is None:
         raise ValueError("polynomial has no real root")
-    return roots[-1]
+    return best
 
 
 def count_nonreal_roots(p) -> int:
@@ -562,7 +600,7 @@ class AlgebraicReal:
             return 1
         if q > self.hi:
             return -1
-        if eval_at(self.poly, q) == 0:
+        if _sign_at(self.poly, q) == 0:
             # the interval holds exactly one root of poly on (lo, hi]
             if q > self.lo:
                 self.lo = self.hi = q
@@ -587,7 +625,7 @@ class AlgebraicReal:
             if a <= b:
                 gchain = sturm_chain(g)
                 hits = count_roots_halfopen(gchain, a, b)
-                if eval_at(g, a) == 0:
+                if _sign_at(g, a) == 0:
                     hits += 1
                 if hits >= 1:
                     return 0
@@ -619,21 +657,6 @@ def shift_poly(p, c):
         for j in range(n - 2, i - 1, -1):
             work[j] += work[j + 1] * c
     return trim(work)
-
-
-def reverse_poly(p):
-    """x^deg * p(1/x); maps roots to their reciprocals."""
-    return trim(tuple(reversed(trim(p))))
-
-
-def compose_scale(p, s):
-    """p(s*x) for rational s."""
-    out = []
-    power = Fraction(1)
-    for c in p:
-        out.append(Fraction(c) * power)
-        power *= s
-    return trim(out)
 
 
 def descartes_no_root_above(p, t) -> bool:

@@ -106,10 +106,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], max_n: int = MAX_VERTIC
     return Graph(n, tuple(adj))
 
 
-def from_adjacency_rows(n: int, rows: Sequence[int]) -> Graph:
-    return Graph(n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # named families
 
@@ -454,14 +450,6 @@ def is_claw_free(g: Graph) -> bool:
                     if not g.has_edge(nb[i], nb[k]) and not g.has_edge(nb[j], nb[k]):
                         return False
     return True
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """New graph with vertex i of the result being perm[i] of the input."""
-    inv = [0] * g.n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    return from_edges(g.n, [(inv[u], inv[v]) for u, v in g.edges()])
 
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:

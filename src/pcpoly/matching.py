@@ -14,14 +14,13 @@ from fractions import Fraction
 
 from .cliquepoly import beta_algebraic, independence_polynomial
 from .exactpoly import (
+    DEFAULT_WIDTH,
     AlgebraicReal,
     RootEnclosure,
     dominant_real_root,
     trim,
 )
 from .graphs import Graph, complement, line_graph
-
-DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -226,14 +225,6 @@ def adjoint_identity_holds(g: Graph) -> bool:
     for j, c in enumerate(ind):
         lifted[n - j] = c
     return unsigned == trim(lifted)
-
-
-def gamma_adjoint(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
-    """Dominant positive root of the adjoint polynomial."""
-    unsigned = adjoint_unsigned(g)
-    # roots of the signed polynomial are the negated roots of the unsigned one;
-    # work with the signed version directly
-    return dominant_real_root(adjoint_polynomial(g), width)
 
 
 def gamma_algebraic(g: Graph) -> AlgebraicReal:

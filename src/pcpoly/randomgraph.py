@@ -15,9 +15,11 @@ from functools import lru_cache
 from fractions import Fraction
 
 from .exactpoly import (
+    DEFAULT_WIDTH,
     AlgebraicReal,
     RatInterval,
     RootEnclosure,
+    _sign_at,
     add,
     clear_denominators,
     count_nonreal_roots,
@@ -30,8 +32,6 @@ from .exactpoly import (
     trim,
     x_power,
 )
-
-DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,15 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
     """Bracket the largest positive roots by a descending multiplicative scan."""
     brackets = []
     hi = Fraction(3, 2)
-    sign_hi = _sgn(eval_at(ipoly, hi))
+    sign_hi = _sign_at(ipoly, hi)
     if sign_hi == 0:
         hi += Fraction(1, 97)
-        sign_hi = _sgn(eval_at(ipoly, hi))
+        sign_hi = _sign_at(ipoly, hi)
     lo = hi
     floor = Fraction(1, 10**7)
     while len(brackets) < how_many and lo > floor:
         lo = lo * Fraction(63, 64)
-        sign_lo = _sgn(eval_at(ipoly, lo))
+        sign_lo = _sign_at(ipoly, lo)
         if sign_lo == 0:
             brackets.append((lo, lo))
             sign_hi = -sign_hi if sign_hi else sign_hi
@@ -199,10 +199,10 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
         if a == b_:
             out.append(RootEnclosure(a, a, 1))
             continue
-        sa = _sgn(eval_at(ipoly, a))
+        sa = _sign_at(ipoly, a)
         while b_ - a > width:
             mid = (a + b_) / 2
-            v = _sgn(eval_at(ipoly, mid))
+            v = _sign_at(ipoly, mid)
             if v == 0:
                 a = b_ = mid
                 break
@@ -212,10 +212,6 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
                 b_ = mid
         out.append(RootEnclosure(a, b_, 1))
     return out
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def ladder_limit_roots(r: int, p, t: int, width: Fraction = Fraction(1, 10**9)) -> RootEnclosure:

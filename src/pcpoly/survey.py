@@ -41,6 +41,7 @@ from .cliquepoly import (
 from .exactpoly import (
     AlgebraicReal,
     QuadSurd,
+    _sign_at,
     count_nonreal_roots,
     descartes_no_root_above,
     dominant_real_root,
@@ -305,7 +306,7 @@ def _decide_extremal(counts, targets) -> tuple[int, int]:
         to_max = _compare_target(b, tgt["star_poly"], tgt["star_lo"], tgt["star_hi"])
     if len(counts) <= 3:
         return to_max, 0  # triangle-free: the growth rate is the quadratic value exactly
-    if eval_at(pc, tgt["min_hi"]) < 0:
+    if _sign_at(pc, tgt["min_hi"]) < 0:
         return to_max, 1  # a root above min_hi: strictly above the minimum
     if b is None:
         b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
@@ -396,16 +397,6 @@ def _even_part_real_rooted(even_rev) -> bool:
     return count_nonreal_roots(even_rev) == 0
 
 
-def _int_eval_sign(poly, num: int, den: int) -> int:
-    """Sign of poly(num/den) for an integer polynomial, den > 0."""
-    d = len(poly) - 1
-    total = 0
-    for j, c in enumerate(poly):
-        if c:
-            total += c * num**j * den ** (d - j)
-    return (total > 0) - (total < 0)
-
-
 def _worker_matching(job):
     from .matching import matching_counts_from_adj
 
@@ -429,12 +420,12 @@ def _worker_matching(job):
         k = counts[1]
         ok = True
         # largest root vs 4k/n - 1 and Delta: g(q) <= 0 certifies root >= q
-        if _int_eval_sign(even_rev, 4 * k - n, n) > 0:
+        if _sign_at(even_rev, Fraction(4 * k - n, n)) > 0:
             ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
                 Fraction(4 * k - n, n)
             ) >= 0
         if ok and delta > 1:
-            if _int_eval_sign(even_rev, delta, 1) > 0:
+            if _sign_at(even_rev, delta) > 0:
                 ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
                     Fraction(delta)
                 ) >= 0
@@ -683,7 +674,7 @@ def _decide_planar(counts, targets) -> tuple[int, int]:
     pc = pc_poly_from_counts(counts)
     b = None
     to_min = 1  # a negative value at hi certifies beta strictly above
-    if eval_at(pc, hi_m) >= 0:
+    if _sign_at(pc, hi_m) >= 0:
         b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
         to_min = _compare_target(b, poly_m, lo_m, hi_m)
     to_max = -1  # no root at or above lo: strictly below the maximum

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .cliquepoly import beta
 from .exactpoly import (
+    DEFAULT_WIDTH,
     RootEnclosure,
     clear_denominators,
     eval_at,
@@ -21,8 +22,6 @@ from .exactpoly import (
     trim,
 )
 from .graphs import Graph, complement
-
-DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)

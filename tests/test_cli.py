@@ -102,6 +102,21 @@ def test_survey_rejects_bad_thread_env(capsys, monkeypatch, value):
     assert len(lines) == 1 and "PCPOLY_THREADS" in lines[0] and repr(value) in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["beta", "Q7"], "unknown graph name: 'Q7'"),
+        (["survey", "nonreal", "9"], "1 <= n <= 7"),
+    ],
+)
+def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pcpoly: error: ") and fragment in lines[0]
+
+
 def test_survey_dump(capsys):
     code = main(["--threads", "2", "survey", "dump", "3"])
     out = capsys.readouterr().out

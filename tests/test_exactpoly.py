@@ -1,14 +1,19 @@
 """Root counting, isolation, and exact algebraic comparisons."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcpoly import exactpoly
 from pcpoly.exactpoly import (
     AlgebraicReal,
     QuadSurd,
     RatInterval,
+    _sign_at,
     count_nonreal_roots,
     degree,
     descartes_no_root_above,
@@ -81,6 +86,64 @@ def test_dominant_root_exact_hits():
     p = mul(mul((-1, 1), (-1, 1)), mul((-1, 1), (-1, 1)))  # (x-1)^4
     enc = dominant_real_root(p)
     assert enc.lo == enc.hi == 1 and enc.multiplicity == 4
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _irreducible_quadratic(abc):
+    c, b, a = abc
+    disc = b * b - 4 * a * c
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
+@st.composite
+def _polys_with_real_roots(draw):
+    """Product of (x - r)^m over rational r, m in 1..3, times an optional
+    quadratic irreducible over Q (real surd roots or a complex pair)."""
+    p = (1,)
+    for root, mult in draw(st.lists(st.tuples(_rationals, st.integers(1, 3)),
+                                    min_size=1, max_size=4)):
+        for _ in range(mult):
+            p = mul(p, (-root, 1))
+    quad = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 4))
+    extra = draw(st.none() | quad.filter(_irreducible_quadratic))
+    return p if extra is None else mul(p, extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys_with_real_roots(), st.sampled_from((F(1, 10**12), F(1, 2**24), F(1, 10**6))))
+def test_dominant_equals_top_of_isolation(p, width):
+    top = dominant_real_root(p, width)
+    last = isolate_real_roots(p, width)[-1]
+    assert (top.lo, top.hi, top.multiplicity) == (last.lo, last.hi, last.multiplicity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=10**9)))
+def test_sign_at_matches_rational_evaluation(p, x):
+    value = eval_at(p, F(x))
+    assert _sign_at(p, x) == (value > 0) - (value < 0)
+
+
+def test_dominant_refines_one_root_per_factor(monkeypatch):
+    calls = []
+    refine = exactpoly._refine_simple_root
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(exactpoly, "_refine_simple_root", counted)
+    p = (81, -18, 1)  # (x - 9)^2
+    for k in range(1, 9):
+        p = mul(p, (-k, 1))
+    enc = dominant_real_root(p)
+    assert (enc.lo, enc.hi, enc.multiplicity) == (9, 9, 2)
+    assert len(calls) <= 2  # squarefree factors: (x-1)...(x-8) and x-9
+    calls.clear()
+    assert len(isolate_real_roots(p)) == 9 and len(calls) == 9
 
 
 def test_count_nonreal():
