@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import survey as survey_mod
 from .cliquepoly import (
@@ -75,7 +76,9 @@ def _describe(value):
     return str(value)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--width", type=_fraction, default=argparse.SUPPRESS,
                         help="enclosure width for root computations")
@@ -150,8 +153,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("spectral", help="adjacency spectral radius")
     add_graph_arg(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # global flags may appear before or after the verb; fill the fallbacks here
     # (parser-level set_defaults would mutate the shared parent actions)
     if not hasattr(args, "width"):

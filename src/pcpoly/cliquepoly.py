@@ -43,14 +43,17 @@ class CliqueProfile:
         return sum(self.counts)
 
 
-def clique_counts(adj: tuple[int, ...], n: int) -> list[int]:
-    """Clique counts by size via bitset recursion; each clique visited once."""
+def clique_counts(adj: tuple[int, ...], n: int, within: int | None = None) -> list[int]:
+    """Clique counts by size via bitset recursion; each clique visited once.
+
+    With a vertex mask ``within``, the counts are those of the induced subgraph
+    on it.
+    """
     counts = [0] * (n + 1)
     counts[0] = 1
-    if n:
-        stack = [((1 << n) - 1, 0)]
-    else:
-        stack = []
+    if within is None:
+        within = (1 << n) - 1
+    stack = [(within, 0)] if within else []
     while stack:
         cand, size = stack.pop()
         s1 = size + 1

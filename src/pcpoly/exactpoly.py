@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
 
@@ -439,11 +440,10 @@ def _enclosures_per_factor(p, width):
         raise ValueError("zero polynomial")
     if width <= 0:
         raise ValueError("width must be positive")
-    sqfull = squarefree_part(ip)
-    return [
-        _root_enclosures(factor, mult, sqfull, width)
-        for mult, factor in squarefree_decomposition(ip)
-    ]
+    factors = squarefree_decomposition(ip)
+    # the product of the factors has the roots of ip; it serves the zero tests
+    sqfull = reduce(mul, (factor for _, factor in factors), (1,))
+    return [_root_enclosures(factor, mult, sqfull, width) for mult, factor in factors]
 
 
 def isolate_real_roots(p, width=DEFAULT_WIDTH):

@@ -1,26 +1,29 @@
-"""Exhaustive labelled-graph censuses with a parallel worker pool.
+"""Exhaustive labelled-graph censuses through one driver.
 
-Graphs stream as edge-slot bitmasks; workers return exact integer tallies
-merged associatively, so results are identical at any thread count.
+Every census walks all 2^C(n,2) labelled graphs on n vertices, each an
+edge-slot bitmask, through :func:`_census`.  The driver splits the masks into
+contiguous chunks, one job each, builds every graph's adjacency rows and calls
+the census's ``visit(n, adj, verdicts, events)`` on them:
 
-The growth rate and every root fact the censuses check depend only on the
-clique profile (c_0..c_omega), and only a few profiles occur (54 among the
-2^15 graphs on six vertices).  So each census whose verdict is a function of
-a cheap invariant is split in two:
+* ``verdicts`` is a per-job memo (``_KeyMemo``) of the census's pure
+  ``decide(key)``, which runs the exact algebra (Sturm counts, root
+  refinement, certified comparison) once per invariant key.  The growth rate
+  and every root fact the censuses check depend only on the clique profile
+  (c_0..c_omega), or for the local-lemma census on (max degree, clique counts
+  of the complement), and few keys occur (54 profiles among the 2^15 graphs
+  on six vertices).
+* ``events`` is a ``Counter`` the visit adds hashable events to: a violator's
+  graph6, an equality, a CSV row.  The non-real and average censuses need no
+  labelled graph; their visit only counts the profile and the parent decides
+  once per profile.
 
-* per graph, only cheap work: mask -> adjacency, the invariant key (clique
-  counts; (max degree, clique counts of the complement) for the local-lemma
-  census) and whatever a check needs of the labelled graph itself (graph6 of
-  violators, equality-family adjacencies, the Fisher-equality structure
-  test, dump flags, the planarity filter);
-* once per key, the exact algebra (Sturm counts, root refinement, certified
-  comparison) in a pure ``_decide_*(key, targets)``.  Workers that need the
-  labelled graph keep a per-job memo of it (``_KeyMemo``); censuses that need
-  no labelled graph only tally graphs per profile, and the parent runs the
-  algebra once per profile.
-
-Because every decision is a pure function of its key, chunking cannot change
-a result.
+Per graph a visit does only cheap work: the key, and what a check needs of
+the labelled graph itself (graph6 of violators, equality-family adjacencies,
+the Fisher-equality structure test, dump flags, the planarity filter, the
+identities that are not functions of a key).  The parent sums the job
+Counters in chunk order and each census rebuilds its result from the sum.
+Chunks are contiguous and summed in mask order, so every count and the
+first-seen order of every event are the same at any thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from .cliquepoly import (
@@ -42,13 +46,34 @@ from .exactpoly import (
     AlgebraicReal,
     QuadSurd,
     _sign_at,
+    add,
     count_nonreal_roots,
+    derivative,
     descartes_no_root_above,
     dominant_real_root,
     eval_at,
+    neg,
+    squarefree_part,
+    sub,
+    trim,
 )
-from .extremal import max_beta_equality_family, max_beta_pc, min_beta_graph
-from .graphs import Graph, adj_from_edge_mask, edge_slots, graph_from_edge_mask, to_graph6
+from .extremal import (
+    apollonian_pc,
+    is_planar_small,
+    max_beta_equality_family,
+    max_beta_pc,
+    min_beta_graph,
+    planar_extremes,
+)
+from .graphs import Graph, adj_from_edge_mask, edge_slots, line_graph, to_graph6
+from .matching import (
+    adjoint_identity_holds,
+    adjoint_polynomial,
+    hat_graph,
+    matching_counts_from_adj,
+)
+from .monoid import m_sequence, normal_form_counts
+from .transforms import threshold_vector_of
 
 # starting enclosure width of beta before a certified comparison refines it
 _COMPARE_WIDTH = Fraction(1, 2**20)
@@ -69,59 +94,61 @@ def resolve_threads(threads: int | None = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _chunks(total: int, pieces: int):
-    step = (total + pieces - 1) // pieces
-    start = 0
-    while start < total:
-        yield start, min(start + step, total)
-        start += step
-
-
-def _run_chunked(worker, n: int, threads: int, extra=()):
-    slots = edge_slots(n)
-    total = 1 << len(slots)
-    threads = min(threads, total)
-    jobs = [(n, a, b, *extra) for a, b in _chunks(total, threads * 4)]
-    if threads == 1:
-        return [worker(job) for job in jobs]
-    with Pool(threads) as pool:
-        return pool.map(worker, jobs)
+def _check_size(n: int) -> None:
+    """Reject census sizes out of range before any work starts."""
+    if not 1 <= n <= 7:
+        raise ValueError("census supported for 1 <= n <= 7")
 
 
 class _KeyMemo(dict):
-    """Per-job memo of a pure ``decide(key, targets)``."""
+    """Per-job memo of a pure ``decide(key)``."""
 
-    def __init__(self, decide, targets=None):
+    def __init__(self, decide):
         super().__init__()
         self.decide = decide
-        self.targets = targets
 
     def __missing__(self, key):
-        value = self[key] = self.decide(key, self.targets)
+        value = self[key] = self.decide(key)
         return value
 
 
-def _worker_profiles(job):
-    n, start, end = job
+def _census_job(job) -> Counter:
+    n, start, end, visit, decide = job
     slots = edge_slots(n)
-    tally = Counter()
+    verdicts = _KeyMemo(decide)
+    events = Counter()
     for mask in range(start, end):
-        tally[tuple(clique_counts(adj_from_edge_mask(n, mask, slots), n))] += 1
-    return tally
+        visit(n, adj_from_edge_mask(n, mask, slots), verdicts, events)
+    return events
 
 
-def _profile_tally(n: int, threads: int) -> Counter:
-    """Labelled graphs on n vertices per clique profile."""
-    tally = Counter()
-    for part in _run_chunked(_worker_profiles, n, threads):
-        tally.update(part)
-    return tally
+def _census(n: int, threads: int | None, visit, decide=None) -> Counter:
+    """Sum of the events ``visit`` counts over every labelled graph on n vertices.
+
+    The masks are split into ``threads * 4`` contiguous chunks and the job
+    Counters summed in mask order.
+    """
+    total = 1 << (n * (n - 1) // 2)
+    threads = min(resolve_threads(threads), total)
+    step = -(-total // (threads * 4))
+    jobs = [(n, a, min(a + step, total), visit, decide) for a in range(0, total, step)]
+    if threads == 1:
+        parts = map(_census_job, jobs)
+    else:
+        with Pool(threads) as pool:
+            parts = pool.map(_census_job, jobs)
+    events = Counter()
+    for part in parts:
+        events.update(part)
+    return events
+
+
+def _visit_profile(n, adj, verdicts, events):
+    events[tuple(clique_counts(adj, n))] += 1
 
 
 def _edges(counts) -> int:
     return counts[2] if len(counts) > 2 else 0
-
-
 
 
 def _compare_target(b: AlgebraicReal, poly, lo, hi) -> int:
@@ -144,11 +171,9 @@ class CensusRow:
 
 def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
     """Census of recurrence polynomials with non-real roots, exact integers."""
-    if not 1 <= n <= 7:
-        raise ValueError("census supported for 1 <= n <= 7")
-    threads = resolve_threads(threads)
+    _check_size(n)
     polys = roots_total = roots_nonreal = 0
-    for counts, graphs in _profile_tally(n, threads).items():
+    for counts, graphs in _census(n, threads, _visit_profile).items():
         roots_total += graphs * (len(counts) - 1)
         nonreal = count_nonreal_roots(pc_poly_from_counts(counts))
         if nonreal:
@@ -202,33 +227,29 @@ def _decide_bounds(counts, n: int):
     return cmp_fisher == 0 and k > 0, tuple(names), envelope
 
 
-def _worker_bounds(job):
-    n, start, end = job
-    slots = edge_slots(n)
-    verdicts = _KeyMemo(_decide_bounds, n)
-    violations = []
-    for mask in range(start, end):
-        adj = adj_from_edge_mask(n, mask, slots)
-        fisher_equal, names, _ = verdicts[tuple(clique_counts(adj, n))]
-        if fisher_equal or names:
-            g = Graph(n, adj)
-            if fisher_equal and not is_complete_multipartite_equal_parts(g):
-                names = ("fisher_equality_characterization",) + names
-            violations.extend((to_graph6(g), name) for name in names)
-    return violations, [v[2] for v in verdicts.values() if v[2]]
+def _visit_bounds(n, adj, verdicts, events):
+    counts = tuple(clique_counts(adj, n))
+    first = counts not in verdicts
+    fisher_equal, names, envelope = verdicts[counts]
+    if first and envelope:
+        events["envelope", envelope] += 1  # only the extremes count
+    if fisher_equal or names:
+        g = Graph(n, adj)
+        if fisher_equal and not is_complete_multipartite_equal_parts(g):
+            names = ("fisher_equality_characterization",) + names
+        g6 = to_graph6(g)
+        for name in names:
+            events["violation", g6, name] += 1
 
 
 def survey_bounds(n: int, threads: int | None = None) -> dict:
     """Exhaustively check the closed-form growth-rate bounds; expect no violations."""
-    if not 1 <= n <= 7:
-        raise ValueError("bounds survey supported for 1 <= n <= 7")
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_bounds, n, threads)
-    violations = [v for p in parts for v in p[0]]
-    envelopes = [e for p in parts for e in p[1]]
+    _check_size(n)
+    events = _census(n, threads, _visit_bounds, partial(_decide_bounds, n=n))
+    envelopes = [e[1] for e in events if e[0] == "envelope"]
     return {
         "n": n,
-        "violations": violations,
+        "violations": [e[1:] for e in events if e[0] == "violation"],
         "density_envelope": (
             (min(e[0] for e in envelopes), max(e[1] for e in envelopes)) if envelopes else None
         ),
@@ -247,9 +268,8 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | No
     """Interval for the mean growth rate over all labelled graphs on n vertices."""
     if not 1 <= n <= 6:
         raise ValueError("average supported for 1 <= n <= 6")
-    threads = resolve_threads(threads)
     lo = hi = Fraction(0)
-    for counts, graphs in _profile_tally(n, threads).items():
+    for counts, graphs in _census(n, threads, _visit_profile).items():
         enc = _decide_beta(counts, width)
         lo += graphs * enc.lo
         hi += graphs * enc.hi
@@ -263,8 +283,6 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | No
 
 def _prepare_extremal_targets(n: int):
     """Per-k data needed to classify every graph against both extremes."""
-    from .exactpoly import squarefree_part
-
     targets = {}
     for k in range(n * (n - 1) // 2 + 1):
         pc_star = max_beta_pc(n, k)
@@ -313,32 +331,19 @@ def _decide_extremal(counts, targets) -> tuple[int, int]:
     return to_max, _compare_target(b, tgt["min_poly"], tgt["min_lo"], tgt["min_hi"])
 
 
-def _worker_extremal(job):
-    n, start, end, targets = job
-    slots = edge_slots(n)
-    verdicts = _KeyMemo(_decide_extremal, targets)
-    max_viol = []
-    min_viol = []
-    max_equal: dict[int, list] = {}
-    min_equal_counts: dict[int, int] = {}
-    min_equal_nontf: dict[int, int] = {}
-    for mask in range(start, end):
-        adj = adj_from_edge_mask(n, mask, slots)
-        counts = tuple(clique_counts(adj, n))
-        k = _edges(counts)
-        to_max, to_min = verdicts[counts]
-        if to_max > 0:
-            max_viol.append((k, to_graph6(Graph(n, adj))))
-        elif to_max == 0:
-            max_equal.setdefault(k, []).append(adj)
-        if to_min < 0:
-            min_viol.append((k, to_graph6(Graph(n, adj))))
-        elif to_min == 0:
-            min_equal_counts[k] = min_equal_counts.get(k, 0) + 1
-            if len(counts) > 3 and 4 * k <= n * n:
-                # below the Mantel bound only triangle-free graphs may attain
-                min_equal_nontf[k] = min_equal_nontf.get(k, 0) + 1
-    return max_viol, min_viol, max_equal, min_equal_counts, min_equal_nontf
+def _visit_extremal(n, adj, verdicts, events):
+    counts = tuple(clique_counts(adj, n))
+    k = _edges(counts)
+    to_max, to_min = verdicts[counts]
+    if to_max > 0:
+        events["max_violation", k, to_graph6(Graph(n, adj))] += 1
+    elif to_max == 0:
+        events["max_equal", k, adj] += 1
+    if to_min < 0:
+        events["min_violation", k, to_graph6(Graph(n, adj))] += 1
+    elif to_min == 0:
+        # below the Mantel bound only triangle-free graphs may attain
+        events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += 1
 
 
 def census_extremal_check(n: int, threads: int | None = None) -> dict:
@@ -349,29 +354,26 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
     side (triangle-free counts below the Mantel bound, conditional-regime
     matches above it).
     """
-    threads = resolve_threads(threads)
+    _check_size(n)
     targets = _prepare_extremal_targets(n)
-    parts = _run_chunked(_worker_extremal, n, threads, extra=(targets,))
-    max_viol = [v for p in parts for v in p[0]]
-    min_viol = [v for p in parts for v in p[1]]
+    events = _census(n, threads, _visit_extremal, partial(_decide_extremal, targets=targets))
     max_equal: dict[int, set] = {}
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
-    for _, _, me, mc, mn in parts:
-        for k, adjs in me.items():
-            max_equal.setdefault(k, set()).update(adjs)
-        for k, c in mc.items():
-            min_equal_counts[k] = min_equal_counts.get(k, 0) + c
-        for k, c in mn.items():
-            min_equal_nontf[k] = min_equal_nontf.get(k, 0) + c
-    family_ok = {}
-    for k in targets:
-        family_ok[k] = max_equal.get(k, set()) == targets[k]["family"]
+    for (tag, k, detail), count in events.items():
+        if tag == "max_equal":
+            max_equal.setdefault(k, set()).add(detail)
+        elif tag == "min_equal":
+            min_equal_counts[k] = min_equal_counts.get(k, 0) + count
+            if detail:
+                min_equal_nontf[k] = min_equal_nontf.get(k, 0) + count
     return {
         "n": n,
-        "max_violations": max_viol,
-        "min_violations": min_viol,
-        "max_family_exact": family_ok,
+        "max_violations": [(k, g6) for tag, k, g6 in events if tag == "max_violation"],
+        "min_violations": [(k, g6) for tag, k, g6 in events if tag == "min_violation"],
+        "max_family_exact": {
+            k: max_equal.get(k, set()) == t["family"] for k, t in targets.items()
+        },
         "min_equal_counts": min_equal_counts,
         "min_equal_nontriangle_free": min_equal_nontf,
         "conditional_ks": [k for k, t in targets.items() if t["conditional"]],
@@ -397,54 +399,45 @@ def _even_part_real_rooted(even_rev) -> bool:
     return count_nonreal_roots(even_rev) == 0
 
 
-def _worker_matching(job):
-    from .matching import matching_counts_from_adj
-
-    n, start, end = job
-    slots = edge_slots(n)
-    bad_rooted = []
-    bad_bounds = []
-    for mask in range(start, end):
-        adj = adj_from_edge_mask(n, mask, slots)
-        counts = matching_counts_from_adj(adj, n)
-        nu = len(counts) - 1
-        if nu == 0:
-            continue
-        # mu = x^sigma g(x^2); the alternating coefficients of g rule out
-        # negative roots outright, so mu real-rooted iff g real-rooted
-        even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
-        if not _even_part_real_rooted(even_rev):
-            bad_rooted.append(to_graph6(Graph(n, adj)))
-            continue
-        delta = max(row.bit_count() for row in adj)
-        k = counts[1]
-        ok = True
-        # largest root vs 4k/n - 1 and Delta: g(q) <= 0 certifies root >= q
-        if _sign_at(even_rev, Fraction(4 * k - n, n)) > 0:
+def _visit_matching(n, adj, verdicts, events):
+    counts = matching_counts_from_adj(adj, n)
+    nu = len(counts) - 1
+    if nu == 0:
+        return
+    # mu = x^sigma g(x^2); the alternating coefficients of g rule out
+    # negative roots outright, so mu real-rooted iff g real-rooted
+    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
+    if not _even_part_real_rooted(even_rev):
+        events["nonreal", to_graph6(Graph(n, adj))] += 1
+        return
+    delta = max(row.bit_count() for row in adj)
+    k = counts[1]
+    ok = True
+    # largest root vs 4k/n - 1 and Delta: g(q) <= 0 certifies root >= q
+    if _sign_at(even_rev, Fraction(4 * k - n, n)) > 0:
+        ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
+            Fraction(4 * k - n, n)
+        ) >= 0
+    if ok and delta > 1:
+        if _sign_at(even_rev, delta) > 0:
             ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-                Fraction(4 * k - n, n)
+                Fraction(delta)
             ) >= 0
-        if ok and delta > 1:
-            if _sign_at(even_rev, delta) > 0:
-                ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-                    Fraction(delta)
-                ) >= 0
-            upper = 4 * (delta - 1)
-            if ok and not descartes_no_root_above(even_rev, Fraction(upper)):
-                ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-                    Fraction(upper)
-                ) <= 0
-        if not ok:
-            bad_bounds.append(to_graph6(Graph(n, adj)))
-    return bad_rooted, bad_bounds
+        upper = 4 * (delta - 1)
+        if ok and not descartes_no_root_above(even_rev, Fraction(upper)):
+            ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
+                Fraction(upper)
+            ) <= 0
+    if not ok:
+        events["bound", to_graph6(Graph(n, adj))] += 1
 
 
 def census_matching_check(n: int, threads: int | None = None) -> dict:
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_matching, n, threads)
+    _check_size(n)
+    events = _census(n, threads, _visit_matching)
     return {
-        "nonreal": [v for p in parts for v in p[0]],
-        "bound_violations": [v for p in parts for v in p[1]],
+        "nonreal": [g6 for tag, g6 in events if tag == "nonreal"],
+        "bound_violations": [g6 for tag, g6 in events if tag == "bound"],
     }
 
 
@@ -452,7 +445,7 @@ def census_matching_check(n: int, threads: int | None = None) -> dict:
 # local-lemma threshold census
 
 
-def _decide_lll(key, targets=None) -> bool:
+def _decide_lll(key) -> bool:
     """True when beta(complement) exceeds d^d/(d-1)^(d-1) for max degree d."""
     d, comp_counts = key
     pc = pc_poly_from_counts(comp_counts)
@@ -463,19 +456,10 @@ def _decide_lll(key, targets=None) -> bool:
     return AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH).compare_fraction(bound) > 0
 
 
-def _worker_lll(job):
-    n, start, end = job
-    slots = edge_slots(n)
-    verdicts = _KeyMemo(_decide_lll)
-    viol = []
-    for mask in range(start, end):
-        adj = adj_from_edge_mask(n, mask, slots)
-        d = max(row.bit_count() for row in adj)
-        if d < 2:
-            continue
-        if verdicts[d, tuple(clique_counts(_complement_adj(adj, n), n))]:
-            viol.append(to_graph6(Graph(n, adj)))
-    return (viol,)
+def _visit_lll(n, adj, verdicts, events):
+    d = max(row.bit_count() for row in adj)
+    if d >= 2 and verdicts[d, tuple(clique_counts(_complement_adj(adj, n), n))]:
+        events[to_graph6(Graph(n, adj))] += 1
 
 
 def _complement_adj(adj, n: int):
@@ -484,9 +468,8 @@ def _complement_adj(adj, n: int):
 
 
 def census_lll_check(n: int, threads: int | None = None) -> list:
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_lll, n, threads)
-    return [v for p in parts for v in p[0]]
+    _check_size(n)
+    return list(_census(n, threads, _visit_lll, _decide_lll))
 
 
 # ---------------------------------------------------------------------------
@@ -495,155 +478,96 @@ def census_lll_check(n: int, threads: int | None = None) -> list:
 
 def _dependence_from_mask(adj, mask: int) -> tuple:
     """Dependence polynomial of the induced subgraph on a vertex mask."""
-    verts = []
-    m = mask
-    while m:
-        b = m & -m
-        verts.append(b.bit_length() - 1)
-        m ^= b
-    index = {v: i for i, v in enumerate(verts)}
-    sub = [0] * len(verts)
-    for v in verts:
-        mm = adj[v] & mask
+    return tuple((-1) ** k * c for k, c in enumerate(clique_counts(adj, len(adj), mask)))
+
+
+def _identities_hold(n: int, adj) -> bool:
+    """Vertex-deletion, edge-deletion and derivative identities of D(G)."""
+    full = (1 << n) - 1
+    dg = trim(_dependence_from_mask(adj, full))
+    total = ()  # sum over v of D(G[N(v)]), which is -D'(G)
+    for v in range(n):
+        inner = _dependence_from_mask(adj, adj[v])
+        if trim(sub(_dependence_from_mask(adj, full ^ (1 << v)), (0,) + inner)) != dg:
+            return False
+        total = add(total, inner)
+    for u in range(n):
+        mm = adj[u] & ~((1 << (u + 1)) - 1)
         while mm:
             b = mm & -mm
-            sub[index[v]] |= 1 << index[b.bit_length() - 1]
+            v = b.bit_length() - 1
             mm ^= b
-    counts = clique_counts(tuple(sub), len(verts))
-    return tuple((-1) ** k * c for k, c in enumerate(counts))
+            cut = list(adj)
+            cut[u] ^= 1 << v
+            cut[v] ^= 1 << u
+            inner = _dependence_from_mask(adj, adj[u] & adj[v])
+            if trim(add(_dependence_from_mask(cut, full), (0, 0) + inner)) != dg:
+                return False
+    return trim(derivative(dg)) == trim(neg(total))
 
 
-def _worker_identities(job):
-    from .exactpoly import add, derivative, neg, sub, trim
-
-    n, start, end = job
-    slots = edge_slots(n)
-    bad = []
-    full = (1 << n) - 1
-    for mask in range(start, end):
-        adj = adj_from_edge_mask(n, mask, slots)
-        dg = _dependence_from_mask(adj, full)
-        ok = True
-        for v in range(n):
-            left = _dependence_from_mask(adj, full ^ (1 << v)) if n > 1 else (1,)
-            inner = _dependence_from_mask(adj, adj[v]) if adj[v] else (1,)
-            rhs = sub(left, (0,) + inner)
-            if trim(rhs) != trim(dg):
-                ok = False
-                break
-        if ok:
-            for u in range(n):
-                mm = adj[u] & ~((1 << (u + 1)) - 1)
-                while mm:
-                    b = mm & -mm
-                    v = b.bit_length() - 1
-                    mm ^= b
-                    common = adj[u] & adj[v]
-                    inner = _dependence_from_mask(adj, common) if common else (1,)
-                    cut = list(adj)
-                    cut[u] ^= 1 << v
-                    cut[v] ^= 1 << u
-                    left = _dependence_from_mask(tuple(cut), full)
-                    if trim(add(left, (0, 0) + inner)) != trim(dg):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            total = ()
-            for v in range(n):
-                inner = _dependence_from_mask(adj, adj[v]) if adj[v] else (1,)
-                total = add(total, inner)
-            if trim(derivative(dg)) != trim(neg(total)):
-                ok = False
-        if not ok:
-            bad.append(to_graph6(Graph(n, adj)))
-    return (bad,)
+def _visit_identities(n, adj, verdicts, events):
+    if not _identities_hold(n, adj):
+        events[to_graph6(Graph(n, adj))] += 1
 
 
 def census_identity_check(n: int, threads: int | None = None) -> list:
     """Vertex-deletion, edge-deletion, and derivative identities, every graph."""
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_identities, n, threads)
-    return [v for p in parts for v in p[0]]
+    _check_size(n)
+    return list(_census(n, threads, _visit_identities))
 
 
-def _worker_monoid(job):
-    from .monoid import m_sequence, normal_form_counts
-
-    n, start, end, maxlen = job
-    slots = edge_slots(n)
-    bad = []
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        if m_sequence(g, maxlen) != normal_form_counts(g, maxlen=maxlen, mode="direct"):
-            bad.append(to_graph6(g))
-    return (bad,)
+def _visit_monoid(n, adj, verdicts, events, maxlen):
+    g = Graph(n, adj)
+    if m_sequence(g, maxlen) != normal_form_counts(g, maxlen=maxlen, mode="direct"):
+        events[to_graph6(g)] += 1
 
 
 def census_monoid_check(n: int, maxlen: int = 8, threads: int | None = None) -> list:
     """Recurrence counts versus direct normal-form enumeration, every graph."""
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_monoid, n, threads, extra=(maxlen,))
-    return [v for p in parts for v in p[0]]
+    _check_size(n)
+    return list(_census(n, threads, partial(_visit_monoid, maxlen=maxlen)))
 
 
-def _worker_adjoint(job):
-    from .matching import (
-        adjoint_identity_holds,
-        adjoint_polynomial,
-        hat_graph,
-        matching_counts_from_adj,
-    )
-    from .graphs import line_graph
-
-    n, start, end = job
-    slots = edge_slots(n)
-    identity_bad = []
-    gamma_bad = []
-    subgraph_bad = []
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        if not adjoint_identity_holds(g):
-            identity_bad.append(to_graph6(g))
-            continue
-        if g.edge_count == 0:
-            continue
-        hg = hat_graph(g)
-        lg = line_graph(g)
-        if any(hg.adj[i] & ~lg.adj[i] for i in range(hg.n)):
-            subgraph_bad.append(to_graph6(g))
-        counts = matching_counts_from_adj(g.adj, n)
-        nu = len(counts) - 1
-        even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
-        t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
-        gamma = dominant_real_root(adjoint_polynomial(g), Fraction(1, 2**22))
-        if gamma.hi < t2.lo:
-            continue
-        if gamma.lo > t2.hi:
-            gamma_bad.append(to_graph6(g))
-            continue
-        a = AlgebraicReal.from_enclosure(adjoint_polynomial(g), gamma)
-        b = AlgebraicReal.from_enclosure(even_rev, t2)
-        if a.compare(b) > 0:
-            gamma_bad.append(to_graph6(g))
-    return identity_bad, gamma_bad, subgraph_bad
+def _visit_adjoint(n, adj, verdicts, events):
+    g = Graph(n, adj)
+    if not adjoint_identity_holds(g):
+        events["identity", to_graph6(g)] += 1
+        return
+    if g.edge_count == 0:
+        return
+    hg = hat_graph(g)
+    lg = line_graph(g)
+    if any(hg.adj[i] & ~lg.adj[i] for i in range(hg.n)):
+        events["subgraph", to_graph6(g)] += 1
+    counts = matching_counts_from_adj(adj, n)
+    nu = len(counts) - 1
+    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
+    t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
+    gamma = dominant_real_root(adjoint_polynomial(g), Fraction(1, 2**22))
+    if gamma.hi < t2.lo:
+        return
+    if gamma.lo > t2.hi:
+        events["gamma", to_graph6(g)] += 1
+        return
+    a = AlgebraicReal.from_enclosure(adjoint_polynomial(g), gamma)
+    b = AlgebraicReal.from_enclosure(even_rev, t2)
+    if a.compare(b) > 0:
+        events["gamma", to_graph6(g)] += 1
 
 
 def census_adjoint_check(n: int, threads: int | None = None) -> dict:
     """Partition-count identity, conflict-graph containment, gamma <= t^2."""
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_adjoint, n, threads)
+    _check_size(n)
+    events = _census(n, threads, _visit_adjoint)
     return {
-        "identity": [v for p in parts for v in p[0]],
-        "gamma": [v for p in parts for v in p[1]],
-        "subgraph": [v for p in parts for v in p[2]],
+        "identity": [g6 for tag, g6 in events if tag == "identity"],
+        "gamma": [g6 for tag, g6 in events if tag == "gamma"],
+        "subgraph": [g6 for tag, g6 in events if tag == "subgraph"],
     }
 
 
 def _prepare_planar_targets(n: int):
-    from .extremal import planar_extremes
-
     targets = {}
     for k in range(min(n * (n - 1) // 2, max(3 * n - 6, 1)) + 1):
         try:
@@ -657,8 +581,6 @@ def _prepare_planar_targets(n: int):
             elif isinstance(pred, QuadSurd):
                 alg = pred.to_algebraic()
             else:
-                from .extremal import apollonian_pc
-
                 alg = AlgebraicReal.from_enclosure(apollonian_pc(n, k), pred)
             alg.refine(Fraction(1, 10**12))
             lam[side] = (alg.poly, alg.lo, alg.hi)
@@ -685,68 +607,49 @@ def _decide_planar(counts, targets) -> tuple[int, int]:
     return to_min, to_max
 
 
-def _worker_planar(job):
-    from .extremal import is_planar_small
-
-    n, start, end, targets = job
-    slots = edge_slots(n)
-    verdicts = _KeyMemo(_decide_planar, targets)
-    viol = []
-    attained: dict = {}
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        if not is_planar_small(g):
-            continue
-        k = g.edge_count
-        att = attained.setdefault(k, [0, 0])
-        to_min, to_max = verdicts[tuple(clique_counts(g.adj, n))]
-        if to_min < 0:
-            viol.append((k, to_graph6(g), "below_min"))
-        elif to_min == 0:
-            att[0] += 1
-        if to_max > 0:
-            viol.append((k, to_graph6(g), "above_max"))
-        elif to_max == 0:
-            att[1] += 1
-    return viol, attained
+def _visit_planar(n, adj, verdicts, events):
+    g = Graph(n, adj)
+    if not is_planar_small(g):
+        return
+    k = g.edge_count
+    to_min, to_max = verdicts[tuple(clique_counts(adj, n))]
+    if to_min < 0:
+        events["violation", k, to_graph6(g), "below_min"] += 1
+    if to_max > 0:
+        events["violation", k, to_graph6(g), "above_max"] += 1
+    events["planar", k, to_min == 0, to_max == 0] += 1
 
 
 def census_planar_check(n: int, threads: int | None = None) -> dict:
     """Verify the planar extremes over the full planar census at tiny n."""
-    threads = resolve_threads(threads)
+    _check_size(n)
     targets = _prepare_planar_targets(n)
-    parts = _run_chunked(_worker_planar, n, threads, extra=(targets,))
-    viol = [v for p in parts for v in p[0]]
+    events = _census(n, threads, _visit_planar, partial(_decide_planar, targets=targets))
     attained: dict = {}
-    for _, att in parts:
-        for k, (lo, hi) in att.items():
-            cur = attained.setdefault(k, [0, 0])
-            cur[0] += lo
-            cur[1] += hi
-    return {"violations": viol, "attained": attained, "ks": sorted(targets)}
+    for (tag, k, equal_min, equal_max), count in events.items():
+        if tag == "planar":
+            att = attained.setdefault(k, [0, 0])
+            att[0] += count * equal_min
+            att[1] += count * equal_max
+    return {
+        "violations": [e[1:] for e in events if e[0] == "violation"],
+        "attained": attained,
+        "ks": sorted(targets),
+    }
 
 
-def _worker_dump(job):
-    from .extremal import is_planar_small
-    from .transforms import threshold_vector_of
-
-    n, start, end, width = job
-    slots = edge_slots(n)
-    enclosures = _KeyMemo(_decide_beta, width)
-    rows = []
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        counts = tuple(clique_counts(g.adj, n))
-        enc = enclosures[counts]
-        flags = []
-        if len(counts) <= 3:
-            flags.append("triangle-free")
-        if threshold_vector_of(g) is not None:
-            flags.append("threshold")
-        if is_planar_small(g):
-            flags.append("planar")
-        rows.append(f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}")
-    return "\n".join(rows)
+def _visit_dump(n, adj, verdicts, events):
+    g = Graph(n, adj)
+    counts = tuple(clique_counts(adj, n))
+    enc = verdicts[counts]
+    flags = []
+    if len(counts) <= 3:
+        flags.append("triangle-free")
+    if threshold_vector_of(g) is not None:
+        flags.append("threshold")
+    if is_planar_small(g):
+        flags.append("planar")
+    events[f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += 1
 
 
 def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
@@ -757,25 +660,16 @@ def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
     """
     if not 1 <= n <= 6:
         raise ValueError("per-graph dump supported for 1 <= n <= 6")
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_dump, n, threads, extra=(width,))
-    return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(parts) + "\n"
+    rows = _census(n, threads, _visit_dump, partial(_decide_beta, width=width))
+    return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(rows) + "\n"
 
 
-def _worker_decycling(job):
-    n, start, end = job
-    slots = edge_slots(n)
-    viol = []
-    for mask in range(start, end):
-        g = graph_from_edge_mask(n, mask, slots)
-        value = eval_at(independence_polynomial(g), -1)
-        phi = decycling_number(g)
-        if abs(value) > 2**phi:
-            viol.append(to_graph6(g))
-    return (viol,)
+def _visit_decycling(n, adj, verdicts, events):
+    g = Graph(n, adj)
+    if abs(eval_at(independence_polynomial(g), -1)) > 2 ** decycling_number(g):
+        events[to_graph6(g)] += 1
 
 
 def census_decycling_check(n: int, threads: int | None = None) -> list:
-    threads = resolve_threads(threads)
-    parts = _run_chunked(_worker_decycling, n, threads)
-    return [v for p in parts for v in p[0]]
+    _check_size(n)
+    return list(_census(n, threads, _visit_decycling))

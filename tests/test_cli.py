@@ -1,6 +1,7 @@
 """Command-line surface: verbs parse, outputs are machine-readable."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -29,6 +30,17 @@ def test_profile_verb(capsys):
     code, payload = _run_json(capsys, "profile", "K4")
     assert payload["counts"] == [1, 4, 6, 4, 1]
     assert payload["decycling_number"] == 2
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    # the parser is built once per process; each call starts from the defaults
+    _, coarse = _run_json(capsys, "--width", "1/4", "beta", "C5")
+    _, default = _run_json(capsys, "beta", "C5")
+    assert F(coarse["hi"]) - F(coarse["lo"]) > F(1, 10**6)
+    assert F(default["hi"]) - F(default["lo"]) <= F(1, 10**12)
+    _, dependence = _run_json(capsys, "poly", "K3", "--kind", "dependence")
+    _, pc = _run_json(capsys, "poly", "K3")
+    assert (dependence["kind"], pc["kind"]) == ("dependence", "pc")
 
 
 def test_graph6_input(capsys):

@@ -12,6 +12,7 @@ from pcpoly.cliquepoly import (
     adjacency_char_poly,
     beta,
     beta_algebraic,
+    clique_counts,
     clique_profile,
     clique_type_polynomial,
     decycling_number,
@@ -81,6 +82,17 @@ def test_profile_matches_brute_force_random():
         for _ in range(20):
             g = _random_graph(rng, n)
             assert clique_profile(g).counts == _brute_profile(g)
+
+
+def test_clique_counts_within_equals_induced_subgraph():
+    rng = random.Random(101)
+    for n in range(1, 7):
+        for _ in range(10):
+            g = _random_graph(rng, n)
+            assert clique_counts(g.adj, n, 0) == [1]
+            for mask in range(1, 1 << n):
+                sub = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
+                assert clique_counts(g.adj, n, mask) == clique_counts(sub.adj, sub.n)
 
 
 def test_polynomials():

@@ -1,6 +1,7 @@
 """Census plumbing: tallies, determinism, bounds survey, averages."""
 
 import hashlib
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,11 +12,14 @@ from pcpoly.graphs import complement, iter_all_graphs
 from pcpoly.cliquepoly import clique_profile
 from pcpoly.survey import (
     average_beta,
+    census_adjoint_check,
     census_csv,
     census_decycling_check,
     census_extremal_check,
+    census_identity_check,
     census_lll_check,
     census_matching_check,
+    census_monoid_check,
     census_planar_check,
     graph_census_csv,
     resolve_threads,
@@ -33,6 +37,21 @@ KEYED_CENSUSES = {
     "planar": lambda threads: census_planar_check(5, threads),
     "lll": lambda threads: census_lll_check(5, threads),
 }
+
+# the censuses that check every labelled graph itself, small enough to run thrice
+PER_GRAPH_CENSUSES = {
+    "matching": lambda threads: census_matching_check(5, threads),
+    "identity": lambda threads: census_identity_check(5, threads),
+    "monoid": lambda threads: census_monoid_check(5, maxlen=4, threads=threads),
+    "adjoint": lambda threads: census_adjoint_check(5, threads),
+    "decycling": lambda threads: census_decycling_check(5, threads),
+}
+
+SIZED_CENSUSES = (
+    survey_nonreal, survey_bounds, average_beta, graph_census_csv, census_extremal_check,
+    census_matching_check, census_lll_check, census_identity_check, census_monoid_check,
+    census_adjoint_check, census_planar_check, census_decycling_check,
+)
 
 
 def test_rows_small():
@@ -67,9 +86,18 @@ def test_threads_do_not_change_output():
     rows = [survey_nonreal(4, threads) for threads in (1, 2, 3)]
     assert all(r == rows[0] for r in rows)
     assert len({census_csv([r]) for r in rows}) == 1
-    for name, census in KEYED_CENSUSES.items():
+    for name, census in {**KEYED_CENSUSES, **PER_GRAPH_CENSUSES}.items():
         results = [census(threads) for threads in (1, 2, 3)]
         assert results[1] == results[0] and results[2] == results[0], name
+
+
+@pytest.mark.parametrize("n", (0, 8))
+@pytest.mark.parametrize("census", SIZED_CENSUSES, ids=lambda census: census.__name__)
+def test_census_size_out_of_range_fails_fast(census, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="supported for 1 <= n <= "):
+        census(n)
+    assert time.perf_counter() - start < 1
 
 
 def test_keyed_census_outputs_pinned():
