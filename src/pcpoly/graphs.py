@@ -7,8 +7,10 @@ constructor validates symmetry and looplessness.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -305,9 +307,14 @@ def parse_graph(text: str, fmt: str) -> Graph:
 # structural operations
 
 
+def complement_adj(adj: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the complement."""
+    full = (1 << len(adj)) - 1
+    return tuple(full ^ row ^ (1 << i) for i, row in enumerate(adj))
+
+
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row ^ (1 << i)) & full for i, row in enumerate(g.adj)))
+    return Graph(g.n, complement_adj(g.adj))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -486,3 +493,110 @@ def graph_from_edge_mask(n: int, mask: int, slots: Sequence[tuple[int, int]]) ->
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes
+
+
+def relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the same graph with vertex ``order[i]`` renamed ``i``."""
+    pos = [0] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
+    out = []
+    for v in order:
+        row = 0
+        m = adj[v]
+        while m:
+            b = m & -m
+            row |= 1 << pos[b.bit_length() - 1]
+            m ^= b
+        out.append(row)
+    return tuple(out)
+
+
+def _equitable(adj: Sequence[int], cells: list) -> list:
+    """Coarsest equitable refinement of an ordered partition.
+
+    Each cell splits in place into groups of equal neighbour counts into every
+    cell, ordered by those counts, so the result depends on the graph and the
+    ordered cells only, never on the vertex names.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict = {}
+            for v in cell:
+                row = adj[v]
+                groups.setdefault(tuple([(row & m).bit_count() for m in masks]), []).append(v)
+            out.extend(groups[key] for key in sorted(groups))
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def canonical_form(adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(canonical adjacency rows, |Aut G|) by individualization-refinement.
+
+    The search tree refines the unit partition to an equitable one and
+    branches on every vertex of the first non-singleton cell, moved in front
+    of its cell, until the partition is discrete.  Each leaf orders the
+    vertices; the canonical rows are the largest relabelling over all leaves.
+    Isomorphic graphs have the same tree up to renaming, so the same rows.
+    The leaves reaching the largest rows are one orbit of Aut G, on which it
+    acts freely, so they number |Aut G|.  (McKay and Piperno, "Practical
+    graph isomorphism II", J. Symb. Comput. 60, 2014, without pruning.)
+    Without pruning the tree has at least |Aut G| leaves, n! for the empty
+    graph, so this serves the census sizes, not large graphs.
+    """
+    best, count = None, 0
+    stack = [_equitable(adj, [list(range(len(adj)))])]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            rows = relabel(adj, [cell[0] for cell in cells])
+            if best is None or rows > best:
+                best, count = rows, 1
+            elif rows == best:
+                count += 1
+            continue
+        cell = cells[target]
+        for v in cell:
+            split = [[v], [u for u in cell if u != v]]
+            stack.append(_equitable(adj, cells[:target] + split + cells[target + 1:]))
+    return best, count
+
+
+@cache
+def graph_classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every graph on n vertices up to isomorphism, as (canonical rows, weight).
+
+    The weight n!/|Aut G| is the number of labelled graphs in the class, so
+    the weights sum to 2^C(n,2).  Classes on n vertices come from those on
+    n - 1 by a new vertex with every neighbourhood S; only candidates with
+    |S| at most every degree are kept, since deleting a vertex of minimum
+    degree leads back from every class.  Sorted by canonical rows.
+    """
+    if n < 1:
+        raise ValueError("graph classes need n >= 1")
+    if n == 1:
+        return (((0,), 1),)
+    found: dict = {}
+    top = 1 << (n - 1)
+    for small, _ in graph_classes(n - 1):
+        degrees = [row.bit_count() for row in small]
+        for s in range(top):
+            size = s.bit_count()
+            if any(size > d + (s >> v & 1) for v, d in enumerate(degrees)):
+                continue
+            adj = tuple(row | (s >> v & 1) * top for v, row in enumerate(small)) + (s,)
+            rows, aut = canonical_form(adj)
+            found.setdefault(rows, aut)
+    labellings = math.factorial(n)
+    return tuple((rows, labellings // aut) for rows, aut in sorted(found.items()))

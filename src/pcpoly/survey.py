@@ -1,28 +1,36 @@
-"""Exhaustive labelled-graph censuses through one driver.
+"""Exhaustive graph censuses through two drivers.
 
-Every census walks all 2^C(n,2) labelled graphs on n vertices, each an
-edge-slot bitmask, through :func:`_census`.  The driver splits the masks into
-contiguous chunks, one job each, builds every graph's adjacency rows and calls
-the census's ``visit(n, adj, verdicts, events)`` on them:
+Every census checks a claim on all graphs with n vertices.  A driver hands
+each graph's adjacency rows to the census's
+``visit(n, adj, verdicts, events, weight)``:
 
-* ``verdicts`` is a per-job memo (``_KeyMemo``) of the census's pure
-  ``decide(key)``, which runs the exact algebra (Sturm counts, root
-  refinement, certified comparison) once per invariant key.  The growth rate
-  and every root fact the censuses check depend only on the clique profile
-  (c_0..c_omega), or for the local-lemma census on (max degree, clique counts
-  of the complement), and few keys occur (54 profiles among the 2^15 graphs
-  on six vertices).
-* ``events`` is a ``Counter`` the visit adds hashable events to: a violator's
-  graph6, an equality, a CSV row.  The non-real and average censuses need no
-  labelled graph; their visit only counts the profile and the parent decides
-  once per profile.
+* ``verdicts`` is a memo (``_KeyMemo``) of the census's pure ``decide(key)``,
+  which runs the exact algebra (Sturm counts, root refinement, certified
+  comparison) once per invariant key.  The growth rate and every root fact
+  the censuses check depend only on the clique profile (c_0..c_omega); for
+  the local-lemma census on (max degree, clique counts of the complement),
+  and for the adjoint census on (matching counts, adjoint polynomial).
+* ``events`` is a ``Counter`` to which the visit adds ``weight`` per
+  hashable event: a violator's graph6, an equality, a CSV row.  The
+  non-real and average censuses only count the profile and decide once per
+  profile afterwards.
 
-Per graph a visit does only cheap work: the key, and what a check needs of
-the labelled graph itself (graph6 of violators, equality-family adjacencies,
-the Fisher-equality structure test, dump flags, the planarity filter, the
-identities that are not functions of a key).  The parent sums the job
-Counters in chunk order and each census rebuilds its result from the sum.
-Chunks are contiguous and summed in mask order, so every count and the
+The class driver :func:`_census` serves the ten censuses whose checks are
+isomorphism invariants: non-real roots, bounds, average, extremal, matching,
+local lemma, identities, monoid, planar and decycling.  It visits, in
+process, one canonical representative per class from
+:func:`graphs.graph_classes` (156 classes for the 2^15 labelled graphs on six
+vertices, 1 044 for the 2^21 on seven), with weight n!/|Aut G|, the number of
+labelled graphs in the class.  Every tally therefore equals the one over all
+labelled graphs, and a violator is reported as the graph6 of its class's
+canonical representative.  Their ``threads`` argument is accepted and unused.
+
+The labelled driver :func:`_labelled_census` serves the two censuses that
+depend on vertex names: ``graph_census_csv`` writes one row per labelled
+graph, and ``census_adjoint_check`` checks the hat graph, which depends on
+the vertex order.  It walks all 2^C(n,2) edge masks with weight 1, split into
+``threads * 4`` contiguous chunks on a process pool, each chunk with its own
+memo.  The chunk Counters are summed in mask order, so every count and the
 first-seen order of every event are the same at any thread count.
 """
 
@@ -65,7 +73,16 @@ from .extremal import (
     min_beta_graph,
     planar_extremes,
 )
-from .graphs import Graph, adj_from_edge_mask, edge_slots, line_graph, to_graph6
+from .graphs import (
+    Graph,
+    adj_from_edge_mask,
+    complement_adj,
+    edge_slots,
+    graph_classes,
+    line_graph,
+    relabel,
+    to_graph6,
+)
 from .matching import (
     adjoint_identity_holds,
     adjoint_polynomial,
@@ -101,7 +118,7 @@ def _check_size(n: int) -> None:
 
 
 class _KeyMemo(dict):
-    """Per-job memo of a pure ``decide(key)``."""
+    """Memo of a pure ``decide(key)``: one per class census, one per labelled job."""
 
     def __init__(self, decide):
         super().__init__()
@@ -112,17 +129,29 @@ class _KeyMemo(dict):
         return value
 
 
+def _census(n: int, visit, decide=None) -> Counter:
+    """Sum of the events ``visit`` counts over the classes on n vertices.
+
+    Each class counts with its weight, the number of labelled graphs in it.
+    """
+    verdicts = _KeyMemo(decide)
+    events = Counter()
+    for adj, weight in graph_classes(n):
+        visit(n, adj, verdicts, events, weight)
+    return events
+
+
 def _census_job(job) -> Counter:
     n, start, end, visit, decide = job
     slots = edge_slots(n)
     verdicts = _KeyMemo(decide)
     events = Counter()
     for mask in range(start, end):
-        visit(n, adj_from_edge_mask(n, mask, slots), verdicts, events)
+        visit(n, adj_from_edge_mask(n, mask, slots), verdicts, events, 1)
     return events
 
 
-def _census(n: int, threads: int | None, visit, decide=None) -> Counter:
+def _labelled_census(n: int, threads: int | None, visit, decide=None) -> Counter:
     """Sum of the events ``visit`` counts over every labelled graph on n vertices.
 
     The masks are split into ``threads * 4`` contiguous chunks and the job
@@ -143,8 +172,8 @@ def _census(n: int, threads: int | None, visit, decide=None) -> Counter:
     return events
 
 
-def _visit_profile(n, adj, verdicts, events):
-    events[tuple(clique_counts(adj, n))] += 1
+def _visit_profile(n, adj, verdicts, events, weight):
+    events[tuple(clique_counts(adj, n))] += weight
 
 
 def _edges(counts) -> int:
@@ -173,7 +202,7 @@ def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
     """Census of recurrence polynomials with non-real roots, exact integers."""
     _check_size(n)
     polys = roots_total = roots_nonreal = 0
-    for counts, graphs in _census(n, threads, _visit_profile).items():
+    for counts, graphs in _census(n, _visit_profile).items():
         roots_total += graphs * (len(counts) - 1)
         nonreal = count_nonreal_roots(pc_poly_from_counts(counts))
         if nonreal:
@@ -227,25 +256,25 @@ def _decide_bounds(counts, n: int):
     return cmp_fisher == 0 and k > 0, tuple(names), envelope
 
 
-def _visit_bounds(n, adj, verdicts, events):
+def _visit_bounds(n, adj, verdicts, events, weight):
     counts = tuple(clique_counts(adj, n))
     first = counts not in verdicts
     fisher_equal, names, envelope = verdicts[counts]
     if first and envelope:
-        events["envelope", envelope] += 1  # only the extremes count
+        events["envelope", envelope] += weight  # only the extremes count
     if fisher_equal or names:
         g = Graph(n, adj)
         if fisher_equal and not is_complete_multipartite_equal_parts(g):
             names = ("fisher_equality_characterization",) + names
         g6 = to_graph6(g)
         for name in names:
-            events["violation", g6, name] += 1
+            events["violation", g6, name] += weight
 
 
 def survey_bounds(n: int, threads: int | None = None) -> dict:
     """Exhaustively check the closed-form growth-rate bounds; expect no violations."""
     _check_size(n)
-    events = _census(n, threads, _visit_bounds, partial(_decide_bounds, n=n))
+    events = _census(n, _visit_bounds, partial(_decide_bounds, n=n))
     envelopes = [e[1] for e in events if e[0] == "envelope"]
     return {
         "n": n,
@@ -269,7 +298,7 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | No
     if not 1 <= n <= 6:
         raise ValueError("average supported for 1 <= n <= 6")
     lo = hi = Fraction(0)
-    for counts, graphs in _census(n, threads, _visit_profile).items():
+    for counts, graphs in _census(n, _visit_profile).items():
         enc = _decide_beta(counts, width)
         lo += graphs * enc.lo
         hi += graphs * enc.hi
@@ -331,19 +360,34 @@ def _decide_extremal(counts, targets) -> tuple[int, int]:
     return to_max, _compare_target(b, tgt["min_poly"], tgt["min_lo"], tgt["min_hi"])
 
 
-def _visit_extremal(n, adj, verdicts, events):
+def _visit_extremal(n, adj, verdicts, events, weight):
     counts = tuple(clique_counts(adj, n))
     k = _edges(counts)
     to_max, to_min = verdicts[counts]
     if to_max > 0:
-        events["max_violation", k, to_graph6(Graph(n, adj))] += 1
+        events["max_violation", k, to_graph6(Graph(n, adj))] += weight
     elif to_max == 0:
-        events["max_equal", k, adj] += 1
+        events["max_equal", k, adj] += weight
     if to_min < 0:
-        events["min_violation", k, to_graph6(Graph(n, adj))] += 1
+        events["min_violation", k, to_graph6(Graph(n, adj))] += weight
     elif to_min == 0:
         # below the Mantel bound only triangle-free graphs may attain
-        events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += 1
+        events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += weight
+
+
+def _is_family_exact(equal: dict, family: set, n: int) -> bool:
+    """Whether the labelled graphs of the weighted classes in ``equal`` are ``family``.
+
+    ``family`` is checked closed under the transposition (0 1) and the
+    n-cycle, which generate S_n.  A class with its representative in an
+    S_n-closed family lies in it with every labelling, so the classes cover
+    part of the family, and equal weight totals make it all of it.
+    """
+    swap = [1, 0, *range(2, n)] if n > 1 else [0]
+    shift = [*range(1, n), 0]
+    closed = all(relabel(adj, swap) in family and relabel(adj, shift) in family
+                 for adj in family)
+    return closed and set(equal) <= family and sum(equal.values()) == len(family)
 
 
 def census_extremal_check(n: int, threads: int | None = None) -> dict:
@@ -356,13 +400,13 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
     """
     _check_size(n)
     targets = _prepare_extremal_targets(n)
-    events = _census(n, threads, _visit_extremal, partial(_decide_extremal, targets=targets))
-    max_equal: dict[int, set] = {}
+    events = _census(n, _visit_extremal, partial(_decide_extremal, targets=targets))
+    max_equal: dict[int, dict] = {}
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
     for (tag, k, detail), count in events.items():
         if tag == "max_equal":
-            max_equal.setdefault(k, set()).add(detail)
+            max_equal.setdefault(k, {})[detail] = count
         elif tag == "min_equal":
             min_equal_counts[k] = min_equal_counts.get(k, 0) + count
             if detail:
@@ -372,7 +416,8 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
         "max_violations": [(k, g6) for tag, k, g6 in events if tag == "max_violation"],
         "min_violations": [(k, g6) for tag, k, g6 in events if tag == "min_violation"],
         "max_family_exact": {
-            k: max_equal.get(k, set()) == t["family"] for k, t in targets.items()
+            k: _is_family_exact(max_equal.get(k, {}), t["family"], n)
+            for k, t in targets.items()
         },
         "min_equal_counts": min_equal_counts,
         "min_equal_nontriangle_free": min_equal_nontf,
@@ -399,7 +444,7 @@ def _even_part_real_rooted(even_rev) -> bool:
     return count_nonreal_roots(even_rev) == 0
 
 
-def _visit_matching(n, adj, verdicts, events):
+def _visit_matching(n, adj, verdicts, events, weight):
     counts = matching_counts_from_adj(adj, n)
     nu = len(counts) - 1
     if nu == 0:
@@ -408,7 +453,7 @@ def _visit_matching(n, adj, verdicts, events):
     # negative roots outright, so mu real-rooted iff g real-rooted
     even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
     if not _even_part_real_rooted(even_rev):
-        events["nonreal", to_graph6(Graph(n, adj))] += 1
+        events["nonreal", to_graph6(Graph(n, adj))] += weight
         return
     delta = max(row.bit_count() for row in adj)
     k = counts[1]
@@ -429,12 +474,12 @@ def _visit_matching(n, adj, verdicts, events):
                 Fraction(upper)
             ) <= 0
     if not ok:
-        events["bound", to_graph6(Graph(n, adj))] += 1
+        events["bound", to_graph6(Graph(n, adj))] += weight
 
 
 def census_matching_check(n: int, threads: int | None = None) -> dict:
     _check_size(n)
-    events = _census(n, threads, _visit_matching)
+    events = _census(n, _visit_matching)
     return {
         "nonreal": [g6 for tag, g6 in events if tag == "nonreal"],
         "bound_violations": [g6 for tag, g6 in events if tag == "bound"],
@@ -456,20 +501,15 @@ def _decide_lll(key) -> bool:
     return AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH).compare_fraction(bound) > 0
 
 
-def _visit_lll(n, adj, verdicts, events):
+def _visit_lll(n, adj, verdicts, events, weight):
     d = max(row.bit_count() for row in adj)
-    if d >= 2 and verdicts[d, tuple(clique_counts(_complement_adj(adj, n), n))]:
-        events[to_graph6(Graph(n, adj))] += 1
-
-
-def _complement_adj(adj, n: int):
-    full = (1 << n) - 1
-    return tuple((full ^ row ^ (1 << i)) & full for i, row in enumerate(adj))
+    if d >= 2 and verdicts[d, tuple(clique_counts(complement_adj(adj), n))]:
+        events[to_graph6(Graph(n, adj))] += weight
 
 
 def census_lll_check(n: int, threads: int | None = None) -> list:
     _check_size(n)
-    return list(_census(n, threads, _visit_lll, _decide_lll))
+    return list(_census(n, _visit_lll, _decide_lll))
 
 
 # ---------------------------------------------------------------------------
@@ -506,60 +546,63 @@ def _identities_hold(n: int, adj) -> bool:
     return trim(derivative(dg)) == trim(neg(total))
 
 
-def _visit_identities(n, adj, verdicts, events):
+def _visit_identities(n, adj, verdicts, events, weight):
     if not _identities_hold(n, adj):
-        events[to_graph6(Graph(n, adj))] += 1
+        events[to_graph6(Graph(n, adj))] += weight
 
 
 def census_identity_check(n: int, threads: int | None = None) -> list:
     """Vertex-deletion, edge-deletion, and derivative identities, every graph."""
     _check_size(n)
-    return list(_census(n, threads, _visit_identities))
+    return list(_census(n, _visit_identities))
 
 
-def _visit_monoid(n, adj, verdicts, events, maxlen):
+def _visit_monoid(n, adj, verdicts, events, weight, maxlen):
     g = Graph(n, adj)
     if m_sequence(g, maxlen) != normal_form_counts(g, maxlen=maxlen, mode="direct"):
-        events[to_graph6(g)] += 1
+        events[to_graph6(g)] += weight
 
 
 def census_monoid_check(n: int, maxlen: int = 8, threads: int | None = None) -> list:
     """Recurrence counts versus direct normal-form enumeration, every graph."""
     _check_size(n)
-    return list(_census(n, threads, partial(_visit_monoid, maxlen=maxlen)))
+    return list(_census(n, partial(_visit_monoid, maxlen=maxlen)))
 
 
-def _visit_adjoint(n, adj, verdicts, events):
+def _decide_adjoint(key) -> bool:
+    """True when gamma, the largest root of the adjoint polynomial, exceeds t^2."""
+    counts, adjoint = key
+    nu = len(counts) - 1
+    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
+    t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
+    gamma = dominant_real_root(adjoint, Fraction(1, 2**22))
+    if gamma.hi < t2.lo:
+        return False
+    if gamma.lo > t2.hi:
+        return True
+    a = AlgebraicReal.from_enclosure(adjoint, gamma)
+    return a.compare(AlgebraicReal.from_enclosure(even_rev, t2)) > 0
+
+
+def _visit_adjoint(n, adj, verdicts, events, weight):
     g = Graph(n, adj)
     if not adjoint_identity_holds(g):
-        events["identity", to_graph6(g)] += 1
+        events["identity", to_graph6(g)] += weight
         return
     if g.edge_count == 0:
         return
     hg = hat_graph(g)
     lg = line_graph(g)
     if any(hg.adj[i] & ~lg.adj[i] for i in range(hg.n)):
-        events["subgraph", to_graph6(g)] += 1
-    counts = matching_counts_from_adj(adj, n)
-    nu = len(counts) - 1
-    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
-    t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
-    gamma = dominant_real_root(adjoint_polynomial(g), Fraction(1, 2**22))
-    if gamma.hi < t2.lo:
-        return
-    if gamma.lo > t2.hi:
-        events["gamma", to_graph6(g)] += 1
-        return
-    a = AlgebraicReal.from_enclosure(adjoint_polynomial(g), gamma)
-    b = AlgebraicReal.from_enclosure(even_rev, t2)
-    if a.compare(b) > 0:
-        events["gamma", to_graph6(g)] += 1
+        events["subgraph", to_graph6(g)] += weight
+    if verdicts[tuple(matching_counts_from_adj(adj, n)), adjoint_polynomial(g)]:
+        events["gamma", to_graph6(g)] += weight
 
 
 def census_adjoint_check(n: int, threads: int | None = None) -> dict:
     """Partition-count identity, conflict-graph containment, gamma <= t^2."""
     _check_size(n)
-    events = _census(n, threads, _visit_adjoint)
+    events = _labelled_census(n, threads, _visit_adjoint, _decide_adjoint)
     return {
         "identity": [g6 for tag, g6 in events if tag == "identity"],
         "gamma": [g6 for tag, g6 in events if tag == "gamma"],
@@ -607,24 +650,24 @@ def _decide_planar(counts, targets) -> tuple[int, int]:
     return to_min, to_max
 
 
-def _visit_planar(n, adj, verdicts, events):
+def _visit_planar(n, adj, verdicts, events, weight):
     g = Graph(n, adj)
     if not is_planar_small(g):
         return
     k = g.edge_count
     to_min, to_max = verdicts[tuple(clique_counts(adj, n))]
     if to_min < 0:
-        events["violation", k, to_graph6(g), "below_min"] += 1
+        events["violation", k, to_graph6(g), "below_min"] += weight
     if to_max > 0:
-        events["violation", k, to_graph6(g), "above_max"] += 1
-    events["planar", k, to_min == 0, to_max == 0] += 1
+        events["violation", k, to_graph6(g), "above_max"] += weight
+    events["planar", k, to_min == 0, to_max == 0] += weight
 
 
 def census_planar_check(n: int, threads: int | None = None) -> dict:
     """Verify the planar extremes over the full planar census at tiny n."""
     _check_size(n)
     targets = _prepare_planar_targets(n)
-    events = _census(n, threads, _visit_planar, partial(_decide_planar, targets=targets))
+    events = _census(n, _visit_planar, partial(_decide_planar, targets=targets))
     attained: dict = {}
     for (tag, k, equal_min, equal_max), count in events.items():
         if tag == "planar":
@@ -638,7 +681,7 @@ def census_planar_check(n: int, threads: int | None = None) -> dict:
     }
 
 
-def _visit_dump(n, adj, verdicts, events):
+def _visit_dump(n, adj, verdicts, events, weight):
     g = Graph(n, adj)
     counts = tuple(clique_counts(adj, n))
     enc = verdicts[counts]
@@ -649,7 +692,7 @@ def _visit_dump(n, adj, verdicts, events):
         flags.append("threshold")
     if is_planar_small(g):
         flags.append("planar")
-    events[f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += 1
+    events[f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += weight
 
 
 def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
@@ -660,16 +703,16 @@ def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
     """
     if not 1 <= n <= 6:
         raise ValueError("per-graph dump supported for 1 <= n <= 6")
-    rows = _census(n, threads, _visit_dump, partial(_decide_beta, width=width))
+    rows = _labelled_census(n, threads, _visit_dump, partial(_decide_beta, width=width))
     return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(rows) + "\n"
 
 
-def _visit_decycling(n, adj, verdicts, events):
+def _visit_decycling(n, adj, verdicts, events, weight):
     g = Graph(n, adj)
     if abs(eval_at(independence_polynomial(g), -1)) > 2 ** decycling_number(g):
-        events[to_graph6(g)] += 1
+        events[to_graph6(g)] += weight
 
 
 def census_decycling_check(n: int, threads: int | None = None) -> list:
     _check_size(n)
-    return list(_census(n, threads, _visit_decycling))
+    return list(_census(n, _visit_decycling))

@@ -1,5 +1,6 @@
 """Root counting, isolation, and exact algebraic comparisons."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -117,6 +118,52 @@ def test_dominant_equals_top_of_isolation(p, width):
     top = dominant_real_root(p, width)
     last = isolate_real_roots(p, width)[-1]
     assert (top.lo, top.hi, top.multiplicity) == (last.lo, last.hi, last.multiplicity)
+
+
+def _sympy_real_roots(p):
+    """Real roots with multiplicity, ascending, by sympy's exact ``real_roots``."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.real_roots(sympy.Poly([sympy.Rational(c) for c in reversed(p)], x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys_with_real_roots(), st.sampled_from((F(1, 10**12), F(1, 2**24))))
+def test_isolation_counts_and_contains_the_real_roots(p, width):
+    roots = _sympy_real_roots(p)
+    encs = isolate_real_roots(p, width)
+    assert sum(e.multiplicity for e in encs) == len(roots)
+    assert count_nonreal_roots(p) == degree(p) - len(roots)
+    distinct = sorted(set(roots))
+    assert len(encs) == len(distinct)
+    for enc, root in zip(encs, distinct):
+        assert enc.width <= width
+        assert enc.lo <= root <= enc.hi
+        assert enc.multiplicity == roots.count(root)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys_with_real_roots(), _polys_with_real_roots())
+def test_algebraic_compare_is_an_exact_order(p, q):
+    # the roots of p * q repeat those of p with another defining polynomial
+    pq = mul(p, q)
+    numbers = [
+        (AlgebraicReal.from_enclosure(poly, enc), root)
+        for poly in (p, pq)
+        for enc, root in zip(isolate_real_roots(poly, F(1, 2**8)),
+                             sorted(set(_sympy_real_roots(poly))))
+    ]
+    signs = {}
+    for i, (a, ra) in enumerate(numbers):
+        for j, (b, rb) in enumerate(numbers):
+            signs[i, j] = a.compare(b)
+            assert signs[i, j] == bool(ra > rb) - bool(ra < rb)
+    for (i, j), sign in signs.items():
+        assert signs[j, i] == -sign
+        assert (sign == 0) == (i == j or bool(numbers[i][1] == numbers[j][1]))
+    for i, j, k in itertools.product(range(len(numbers)), repeat=3):
+        if signs[i, j] <= 0 and signs[j, k] <= 0:
+            assert signs[i, k] <= 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 """Extremal constructions, bounds, planar extremes, Nordhaus-Gaddum."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +15,14 @@ from pcpoly.extremal import (
     beta_bounds,
     is_planar_small,
     max_beta_construction,
+    max_beta_equality_family,
     max_beta_graph,
     min_beta_graph,
     nordhaus_gaddum,
     planar_extremes,
 )
 from pcpoly.graphs import (
+    canonical_form,
     complement,
     edge_slots,
     from_edges,
@@ -79,6 +83,20 @@ def test_max_matches_census_n5():
         best = _census_extreme(5, k, want_max=True)
         pred = beta_algebraic(res.graph)
         assert pred.compare(best) == 0
+
+
+def test_max_equality_family_is_closed_under_relabelling():
+    # every class the family meets lies in it with all n!/|Aut| labellings
+    for n in range(1, 7):
+        for k in range(n * (n - 1) // 2 + 1):
+            family = max_beta_equality_family(n, k)
+            members = Counter()
+            auts = {}
+            for adj in family:
+                rows, auts[rows] = canonical_form(adj)
+                members[rows] += 1
+            for rows, count in members.items():
+                assert count * auts[rows] == math.factorial(n), (n, k, rows)
 
 
 def test_min_unconditional_examples():

@@ -1,5 +1,6 @@
 """Graph representation, parsing, and structural operations."""
 
+import math
 import random
 
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from pcpoly.graphs import (
     Graph,
     GraphError,
+    canonical_form,
     complement,
     complete_multipartite,
     edge_slots,
     from_edges,
+    graph_classes,
     graph_from_edge_mask,
     graph_join_union,
     induced_subgraph,
@@ -19,6 +22,7 @@ from pcpoly.graphs import (
     line_graph,
     parse_graph,
     parse_graph6,
+    relabel,
     to_edge_list,
     to_graph6,
 )
@@ -147,3 +151,51 @@ def test_claw_free():
     assert is_claw_free(parse_graph("C5", "named"))
     assert not is_claw_free(parse_graph("star3", "named"))
     assert not is_claw_free(parse_graph("star4", "named"))
+
+
+def _nx_adj(g):
+    """Adjacency rows of a networkx graph on the nodes 0..n-1."""
+    adj = [0] * g.number_of_nodes()
+    for u, v in g.edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def test_graph_classes_match_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    atlas: dict = {}
+    for g in nx.graph_atlas_g()[1:]:  # every graph on 1..7 vertices, one per class
+        atlas.setdefault(g.number_of_nodes(), []).append(g)
+    for n in range(1, 8):
+        classes = dict(graph_classes(n))
+        assert len(classes) == len(atlas[n]) == len(graph_classes(n)), n
+        assert sum(classes.values()) == 2 ** (n * (n - 1) // 2), n
+        seen = set()
+        for g in atlas[n]:
+            rows, _ = canonical_form(_nx_adj(g))
+            aut = sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+            assert classes[rows] * aut == math.factorial(n), (n, rows)
+            seen.add(rows)
+        assert seen == set(classes), n
+    assert graph_classes(7) is graph_classes(7)  # one cached tuple per n
+
+
+def test_canonical_form_ignores_vertex_names():
+    rng = random.Random(8)
+    for n in (1, 2, 5, 8):
+        slots = edge_slots(n)
+        for _ in range(20):
+            adj = graph_from_edge_mask(n, rng.randrange(1 << len(slots)), slots).adj
+            rows, aut = canonical_form(adj)
+            order = list(range(n))
+            rng.shuffle(order)
+            assert canonical_form(relabel(adj, order)) == (rows, aut)
+            assert sorted(row.bit_count() for row in rows) == sorted(
+                row.bit_count() for row in adj
+            )
+            assert math.factorial(n) % aut == 0
+    with pytest.raises(ValueError):
+        graph_classes(0)

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from pcpoly import survey
-from pcpoly.graphs import complement, iter_all_graphs
+from pcpoly.graphs import adj_from_edge_mask, complement, edge_slots, iter_all_graphs
 from pcpoly.cliquepoly import clique_profile
+from pcpoly.matching import adjoint_polynomial, matching_counts
 from pcpoly.survey import (
     average_beta,
     census_adjoint_check,
@@ -38,7 +39,7 @@ KEYED_CENSUSES = {
     "lll": lambda threads: census_lll_check(5, threads),
 }
 
-# the censuses that check every labelled graph itself, small enough to run thrice
+# the censuses that check every graph itself, small enough to run thrice
 PER_GRAPH_CENSUSES = {
     "matching": lambda threads: census_matching_check(5, threads),
     "identity": lambda threads: census_identity_check(5, threads),
@@ -136,7 +137,15 @@ def _lll_key(g):
     return g.max_degree(), clique_profile(complement(g)).counts
 
 
-@pytest.mark.parametrize("name", sorted(KEYED_CENSUSES))
+def _adjoint_key(g):
+    return tuple(matching_counts(g)), adjoint_polynomial(g)
+
+
+# the censuses on the labelled driver, whose one thread runs four chunks, each with its memo
+LABELLED_JOBS = {"dump": 4, "adjoint": 4}
+
+
+@pytest.mark.parametrize("name", sorted({*KEYED_CENSUSES, "adjoint"}))
 def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     calls = Counter()
     for fn in ("count_nonreal_roots", "dominant_real_root", "descartes_no_root_above"):
@@ -147,13 +156,53 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
             return _original(*args)
 
         monkeypatch.setattr(survey, fn, counted)
-    KEYED_CENSUSES[name](1)
-    key = _lll_key if name == "lll" else (lambda g: clique_profile(g).counts)
-    keys = len({key(g) for g in iter_all_graphs(5)})
-    jobs = 4  # one thread runs four chunks
+    {**KEYED_CENSUSES, **PER_GRAPH_CENSUSES}[name](1)
+    if name == "adjoint":
+        keys = len({_adjoint_key(g) for g in iter_all_graphs(5) if g.edge_count})
+    else:
+        key = _lll_key if name == "lll" else (lambda g: clique_profile(g).counts)
+        keys = len({key(g) for g in iter_all_graphs(5)})
+    jobs = LABELLED_JOBS.get(name, 1)
+    roots = 2 if name == "adjoint" else 1  # the adjoint verdict refines t^2 and gamma
     targets = 11 if name == "extremal" else 0  # one maximum per edge count 0..10
+    assert calls
     for fn, count in calls.items():
-        assert count <= keys * jobs + targets, (fn, count, keys)
+        assert count <= keys * jobs * roots + targets, (fn, count, keys)
+
+
+def _labelled_graphs(n):
+    slots = edge_slots(n)
+    return tuple((adj_from_edge_mask(n, mask, slots), 1) for mask in range(1 << len(slots)))
+
+
+# the censuses on the class driver, at n
+CLASS_CENSUSES = {
+    "nonreal": survey_nonreal,
+    "bounds": survey_bounds,
+    "average": average_beta,
+    "extremal": census_extremal_check,
+    "lll": census_lll_check,
+    "planar": census_planar_check,
+    "matching": census_matching_check,
+    "identity": census_identity_check,
+    "monoid": lambda n: census_monoid_check(n, maxlen=4),
+    "decycling": census_decycling_check,
+}
+SLOW_AT_6 = ("identity", "monoid", "decycling")  # n <= 5 only, to keep the labelled runs short
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in CLASS_CENSUSES for n in range(1, 6)]
+    + [(name, 6) for name in CLASS_CENSUSES if name not in SLOW_AT_6],
+)
+def test_class_driver_equals_labelled_census(monkeypatch, name, n):
+    census = CLASS_CENSUSES[name]
+    by_class = census(n)
+    sources = []
+    monkeypatch.setattr(survey, "graph_classes", lambda n: sources.append(n) or _labelled_graphs(n))
+    assert census(n) == by_class
+    assert sources == [n]
 
 
 def test_census_csv_format():
