@@ -3,7 +3,8 @@
 Every numeric answer is printed from exact rationals; ``--format`` switches
 between human text, JSON, and CSV.  Exit status is 0 iff no survey check
 reported a violation, and 2 on a user error (a malformed graph, a size out of
-range, a bad ``PCPOLY_THREADS``), which prints one ``pcpoly: error:`` line.
+range, a bad ``PCPOLY_THREADS``, an input beyond a work bound), which prints
+one ``pcpoly: error:`` line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cliquepoly import (
 from .extremal import max_beta_graph, min_beta_graph, nordhaus_gaddum, planar_extremes
 from .exactpoly import DEFAULT_WIDTH, QuadSurd, RootEnclosure
 from .graphs import parse_graph, to_edge_list, to_graph6
-from .matching import adjoint_polynomial, matching_polynomials, t_largest
+from .matching import _matching_and_t, adjoint_polynomial
 from .monoid import count_normal_forms, lie_dimensions, m_sequence
 from .randomgraph import (
     beta0_constant,
@@ -278,13 +279,13 @@ def _run(args) -> int:
             _emit({"threshold_lo": str(enc.lo), "threshold_hi": str(enc.hi)}, fmt)
     elif args.command == "matching":
         g = _load_graph(args)
-        pair = matching_polynomials(g)
+        pair, t = _matching_and_t(g, args.width)
         payload = {
             "mu_ascending": list(pair.mu),
             "generating": list(pair.generating),
         }
-        if g.edge_count:
-            payload["t_largest"] = _describe(t_largest(g, args.width))
+        if t is not None:
+            payload["t_largest"] = _describe(t)
         _emit(payload, fmt)
     elif args.command == "adjoint":
         g = _load_graph(args)

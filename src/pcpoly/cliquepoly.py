@@ -1,6 +1,8 @@
 """Clique counting and the unweighted clique-type polynomials.
 
-Provides the clique profile, the four clique-type polynomials, the monoid
+Clique counts come from one memoised vertex-deletion recursion with a fixed
+work bound (``clique_counts``).  On top of them this module provides the
+clique profile, the four clique-type polynomials, the monoid
 growth rate beta(G) as a certified enclosure, the hard-core occupancy
 fraction, I(G, -1) with the decycling number, and the adjacency spectral
 radius, all in exact arithmetic.
@@ -43,31 +45,53 @@ class CliqueProfile:
         return sum(self.counts)
 
 
-def clique_counts(adj: tuple[int, ...], n: int, within: int | None = None) -> list[int]:
-    """Clique counts by size via bitset recursion; each clique visited once.
+CLIQUE_MEMO_LIMIT = 1 << 20  # subproblems per clique_counts call
 
-    With a vertex mask ``within``, the counts are those of the induced subgraph
-    on it.
+
+def _packed_clique_poly(p: int, adj, shift: int, memo: dict) -> int:
+    """Clique polynomial of the subgraph induced on ``p``, limbs packed.
+
+    f(P) = f(P - v) + x f(P & N(v)) with v the lowest vertex of P; the
+    coefficient of x^k sits in limb k, ``shift`` bits wide.  ``memo`` holds
+    f(0) = 1 on entry and every subproblem solved so far.
     """
-    counts = [0] * (n + 1)
-    counts[0] = 1
+    got = memo.get(p)
+    if got is not None:
+        return got
+    b = p & -p
+    rest = p ^ b
+    val = _packed_clique_poly(rest, adj, shift, memo) + (
+        _packed_clique_poly(rest & adj[b.bit_length() - 1], adj, shift, memo) << shift
+    )
+    memo[p] = val
+    if len(memo) > CLIQUE_MEMO_LIMIT:
+        raise ValueError(
+            f"clique counting needs more than {CLIQUE_MEMO_LIMIT} subproblems on this graph"
+        )
+    return val
+
+
+def clique_counts(adj: tuple[int, ...], n: int, within: int | None = None) -> list[int]:
+    """Clique counts (c_0 = 1, c_1, ..., c_omega) by vertex-deletion recursion.
+
+    Uses C(G) = C(G - v) + x C(G[N(v)]) (Hoede & Li, Discrete Math. 125, 1994),
+    memoised on the vertex set for the length of one call, so cliques are
+    counted without being visited one by one.  Every count is at most
+    C(n, k) < 2^(n+1), so limbs n+1 bits wide never carry.  With a vertex
+    mask ``within``, the counts are those of the induced subgraph on it.
+
+    Raises ValueError when the recursion needs more than CLIQUE_MEMO_LIMIT
+    subproblems, which bounds its time and memory on any input.
+    """
     if within is None:
         within = (1 << n) - 1
-    stack = [(within, 0)] if within else []
-    while stack:
-        cand, size = stack.pop()
-        s1 = size + 1
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            counts[s1] += 1
-            nxt = cand & adj[v] & ~((b << 1) - 1)
-            if nxt:
-                stack.append((nxt, s1))
-    while counts and counts[-1] == 0:
-        counts.pop()
+    shift = n + 1
+    packed = _packed_clique_poly(within, adj, shift, {0: 1})
+    limb = (1 << shift) - 1
+    counts = []
+    while packed:
+        counts.append(packed & limb)
+        packed >>= shift
     return counts
 
 

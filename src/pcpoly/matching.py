@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliquepoly import beta_algebraic, independence_polynomial
+from .cliquepoly import independence_polynomial, pc_poly_from_counts
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
@@ -20,7 +20,7 @@ from .exactpoly import (
     dominant_real_root,
     trim,
 )
-from .graphs import Graph, complement, line_graph
+from .graphs import Graph, line_graph
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,19 @@ class MatchingPair:
         return len(self.generating) - 1
 
 
-_PACK_SHIFT = 24  # per-size limb width; counts stay below 2^24 for n <= 12
+MATCHING_MAX_VERTICES = 19  # the 2^n subset table; DECISIONS.md D5
+
+
+def _limb_bits(n: int) -> int:
+    """Bit length of the telephone number T(n), the number of matchings of K_n.
+
+    Every matching count of an n-vertex graph is at most T(n), so limbs this
+    wide never carry.
+    """
+    prev, cur = 1, 1  # T(0), T(1)
+    for k in range(1, n):
+        prev, cur = cur, cur + k * prev
+    return cur.bit_length()
 
 
 def matching_counts_from_adj(adj, n: int) -> list[int]:
@@ -43,11 +55,16 @@ def matching_counts_from_adj(adj, n: int) -> list[int]:
 
     f[mask] encodes the generating polynomial of the induced subgraph with
     the size-k count in limb k; adding a matched edge is a single shift.
+    Raises ValueError above MATCHING_MAX_VERTICES vertices.
     """
+    if n > MATCHING_MAX_VERTICES:
+        raise ValueError(
+            f"matching counts need a 2^n table; capped at {MATCHING_MAX_VERTICES} vertices"
+        )
     size = 1 << n
     f = [0] * size
     f[0] = 1
-    shift = _PACK_SHIFT
+    shift = _limb_bits(n)
     for mask in range(1, size):
         b = mask & -mask
         rest = mask ^ b
@@ -67,39 +84,45 @@ def matching_counts_from_adj(adj, n: int) -> list[int]:
 
 
 def matching_counts(g: Graph) -> list[int]:
-    """Matchings by size, exact; packed DP for small n, tuple DP beyond."""
-    if g.n <= 12:
-        return matching_counts_from_adj(g.adj, g.n)
-    size = 1 << g.n
-    f: list = [None] * size
-    f[0] = (1,)
-    for mask in range(1, size):
-        b = mask & -mask
-        rest = mask ^ b
-        acc = list(f[rest]) + [0]
-        m = g.adj[b.bit_length() - 1] & rest
-        while m:
-            ub = m & -m
-            m ^= ub
-            for k, c in enumerate(f[rest ^ ub]):
-                acc[k + 1] += c
-        while len(acc) > 1 and acc[-1] == 0:
-            acc.pop()
-        f[mask] = tuple(acc)
-    return list(f[size - 1])
+    """Matchings by size, exact."""
+    return matching_counts_from_adj(g.adj, g.n)
 
 
-def matching_polynomials(g: Graph) -> MatchingPair:
-    """Both matching polynomials; the line-graph identity is asserted."""
-    counts = matching_counts(g)
+def _matching_and_t(
+    g: Graph, width: Fraction | None = None
+) -> tuple[MatchingPair, RootEnclosure | None]:
+    """(MatchingPair, enclosure of t(G) or None) with one DP and one clique count.
+
+    The matching counts are asserted equal to the independence polynomial of
+    L(G), which is the clique polynomial of co-L(G).  With a ``width``, the
+    largest root t of mu is enclosed and t^2 is asserted to be the growth rate
+    of co-L(G), whose recurrence polynomial comes from that same tuple.
+    """
+    counts = tuple(matching_counts(g))
     n = g.n
     mu = [0] * (n + 1)
     for k, c in enumerate(counts):
         mu[n - 2 * k] = (-1) ** k * c
-    if g.edge_count:
-        line_ind = independence_polynomial(line_graph(g))
-        assert tuple(counts) == line_ind, "matching counts must match L(G) independence"
-    return MatchingPair(trim(mu), tuple(counts))
+    pair = MatchingPair(trim(mu), counts)
+    if not g.edge_count:
+        return pair, None
+    line_ind = independence_polynomial(line_graph(g))
+    assert counts == line_ind, "matching counts must match L(G) independence"
+    if width is None:
+        return pair, None
+    enc = dominant_real_root(pair.mu, width)
+    lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
+    pc = pc_poly_from_counts(line_ind)
+    target = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**24)))
+    assert target.compare_fraction(lo2) >= 0 and target.compare_fraction(hi2) <= 0, (
+        "t^2 must be the complement line-graph growth rate"
+    )
+    return pair, enc
+
+
+def matching_polynomials(g: Graph) -> MatchingPair:
+    """Both matching polynomials; the line-graph identity is asserted."""
+    return _matching_and_t(g)[0]
 
 
 def matching_even_part(pair: MatchingPair) -> tuple:
@@ -118,14 +141,7 @@ def t_largest(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
     """
     if g.edge_count == 0:
         raise ValueError("needs at least one edge")
-    pair = matching_polynomials(g)
-    enc = dominant_real_root(pair.mu, width)
-    lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
-    target = beta_algebraic(complement(line_graph(g)))
-    assert target.compare_fraction(lo2) >= 0 and target.compare_fraction(hi2) <= 0, (
-        "t^2 must be the complement line-graph growth rate"
-    )
-    return enc
+    return _matching_and_t(g, width)[1]
 
 
 def t_squared_algebraic(g: Graph) -> AlgebraicReal:
@@ -170,9 +186,12 @@ def clique_partition_counts(g: Graph) -> list[int]:
     return counts
 
 
-def adjoint_polynomial(g: Graph) -> tuple:
-    """Signed adjoint polynomial sum (-1)^(n-k) a_k x^k, ascending integers."""
-    counts = clique_partition_counts(g)
+def adjoint_polynomial(g: Graph, partitions: list[int] | None = None) -> tuple:
+    """Signed adjoint polynomial sum (-1)^(n-k) a_k x^k, ascending integers.
+
+    ``partitions``, when given, is ``clique_partition_counts(g)``.
+    """
+    counts = clique_partition_counts(g) if partitions is None else partitions
     n = g.n
     return trim((-1) ** (n - k) * counts[k] for k in range(n + 1))
 
@@ -210,15 +229,22 @@ def hat_graph(g: Graph) -> Graph:
     return Graph(m, tuple(adj))
 
 
-def adjoint_identity_holds(g: Graph) -> bool:
-    """Exact check: unsigned adjoint = x^n I(hat, 1/x) coefficientwise."""
-    unsigned = adjoint_unsigned(g)
+def adjoint_identity_holds(
+    g: Graph, partitions: list[int] | None = None, hat: Graph | None = None
+) -> bool:
+    """Exact check: unsigned adjoint = x^n I(hat, 1/x) coefficientwise.
+
+    ``partitions`` and ``hat``, when given, are ``clique_partition_counts(g)``
+    and ``hat_graph(g)``.
+    """
+    unsigned = trim(clique_partition_counts(g) if partitions is None else partitions)
     n = g.n
     if g.edge_count == 0:
         expected = [0] * (n + 1)
         expected[n] = 1
         return unsigned == trim(expected)
-    hat = hat_graph(g)
+    if hat is None:
+        hat = hat_graph(g)
     ind = independence_polynomial(hat)
     # x^n I(1/x): coefficient of x^(n - j) is ind[j]
     lifted = [0] * (n + 1)

@@ -86,6 +86,7 @@ from .graphs import (
 from .matching import (
     adjoint_identity_holds,
     adjoint_polynomial,
+    clique_partition_counts,
     hat_graph,
     matching_counts_from_adj,
 )
@@ -586,16 +587,17 @@ def _decide_adjoint(key) -> bool:
 
 def _visit_adjoint(n, adj, verdicts, events, weight):
     g = Graph(n, adj)
-    if not adjoint_identity_holds(g):
+    partitions = clique_partition_counts(g)
+    hg = hat_graph(g) if g.edge_count else None
+    if not adjoint_identity_holds(g, partitions, hg):
         events["identity", to_graph6(g)] += weight
         return
-    if g.edge_count == 0:
+    if hg is None:
         return
-    hg = hat_graph(g)
     lg = line_graph(g)
     if any(hg.adj[i] & ~lg.adj[i] for i in range(hg.n)):
         events["subgraph", to_graph6(g)] += weight
-    if verdicts[tuple(matching_counts_from_adj(adj, n)), adjoint_polynomial(g)]:
+    if verdicts[tuple(matching_counts_from_adj(adj, n)), adjoint_polynomial(g, partitions)]:
         events["gamma", to_graph6(g)] += weight
 
 

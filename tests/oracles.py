@@ -73,3 +73,32 @@ def nonreal_census(n):
         roots_nonreal += graphs * nonreal
         polys += graphs if nonreal else 0
     return 1 << len(slots), polys, roots_total, roots_nonreal
+
+
+def matching_counts_recursive(n, edges):
+    """m_0..m_nu from edge pairs, no pcpoly code.
+
+    The highest remaining vertex stays unmatched or is matched to a remaining
+    neighbour; each remaining vertex set is solved once.
+    """
+    nb = [set() for _ in range(n)]
+    for i, j in edges:
+        nb[i].add(j)
+        nb[j].add(i)
+    memo = {frozenset(): (1,)}
+
+    def solve(free):
+        if free in memo:
+            return memo[free]
+        v = max(free)
+        rest = free - {v}
+        acc = list(solve(rest)) + [0]
+        for u in nb[v] & rest:
+            for k, c in enumerate(solve(rest - {u})):
+                acc[k + 1] += c
+        while acc[-1] == 0:
+            acc.pop()
+        memo[free] = tuple(acc)
+        return memo[free]
+
+    return list(solve(frozenset(range(n))))

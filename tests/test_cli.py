@@ -1,11 +1,15 @@
 """Command-line surface: verbs parse, outputs are machine-readable."""
 
 import json
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from pcpoly import cliquepoly, matching
 from pcpoly.cli import main
+from pcpoly.graphs import Graph, to_graph6
 
 
 def _run_json(capsys, *args):
@@ -119,6 +123,7 @@ def test_survey_rejects_bad_thread_env(capsys, monkeypatch, value):
     [
         (["beta", "Q7"], "unknown graph name: 'Q7'"),
         (["survey", "nonreal", "9"], "1 <= n <= 7"),
+        (["matching", "K20"], "capped at 19 vertices"),
     ],
 )
 def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
@@ -127,6 +132,54 @@ def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pcpoly: error: ") and fragment in lines[0]
+
+
+def test_beta_of_k40_is_one_with_multiplicity_40(capsys):
+    code, payload = _run_json(capsys, "beta", "K40")
+    assert code == 0
+    assert (payload["lo"], payload["hi"], payload["multiplicity"]) == ("1", "1", 40)
+
+
+def test_clique_work_bound_is_a_user_error(capsys):
+    # cocktail party on 48 vertices, v's non-neighbour v + 24: the lowest-vertex
+    # recursion meets about 2^25 distinct vertex sets
+    n, half = 48, 24
+    full = (1 << n) - 1
+    g = Graph(n, tuple(full ^ (1 << v) ^ (1 << (v + half) % n) for v in range(n)))
+    start = time.perf_counter()
+    assert main(["beta", to_graph6(g), "--fmt", "graph6"]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("pcpoly: error: ")
+
+
+def _counting(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_matching_verb_counts_once(capsys, monkeypatch):
+    calls = Counter()
+    _counting(monkeypatch, calls, matching, "matching_counts_from_adj")
+    _counting(monkeypatch, calls, cliquepoly, "clique_counts")
+    code, payload = _run_json(capsys, "matching", "C10")
+    assert code == 0 and payload["generating"] == [1, 10, 35, 50, 25, 2]
+    assert "t_largest" in payload
+    assert calls == {"matching_counts_from_adj": 1, "clique_counts": 1}
+
+
+def test_matching_verb_keeps_line_graph_check(capsys, monkeypatch):
+    original = matching.matching_counts_from_adj
+    one_edge_too_many = lambda adj, n: [c + (k == 1) for k, c in enumerate(original(adj, n))]
+    monkeypatch.setattr(matching, "matching_counts_from_adj", one_edge_too_many)
+    with pytest.raises(AssertionError, match="L\\(G\\) independence"):
+        main(["matching", "C10"])
 
 
 def test_survey_dump(capsys):

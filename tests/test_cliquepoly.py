@@ -1,7 +1,10 @@
 """Clique profiles, clique-type polynomials, growth rates, and their identities."""
 
+import gc
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -93,6 +96,37 @@ def test_clique_counts_within_equals_induced_subgraph():
             for mask in range(1, 1 << n):
                 sub = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
                 assert clique_counts(g.adj, n, mask) == clique_counts(sub.adj, sub.n)
+
+
+def test_clique_counts_match_networkx_enumeration():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(102)
+    for n in range(1, 15):
+        for _ in range(6):
+            g = _random_graph(rng, n)
+            within = rng.randrange(1 << n)
+            sub = nx.Graph()
+            sub.add_nodes_from(v for v in range(n) if within >> v & 1)
+            sub.add_edges_from((a, b) for a, b in g.edges() if within >> a & within >> b & 1)
+            sizes = Counter(len(c) for c in nx.enumerate_all_cliques(sub))
+            expected = [1] + [sizes[k] for k in range(1, max(sizes, default=0) + 1)]
+            assert clique_counts(g.adj, n, within) == expected
+
+
+def test_clique_counts_complete_graphs_give_binomial_rows():
+    start = time.perf_counter()
+    for n in range(65):
+        full = (1 << n) - 1
+        adj = tuple(full ^ (1 << v) for v in range(n))
+        assert clique_counts(adj, n) == [math.comb(n, k) for k in range(n + 1)]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_clique_counts_leave_no_reference_cycle():
+    g = _random_graph(random.Random(103), 40)
+    gc.collect()
+    clique_counts(g.adj, g.n)
+    assert gc.collect() == 0
 
 
 def test_polynomials():

@@ -19,6 +19,7 @@ from pcpoly.graphs import (
     complement,
     complete_multipartite,
     edge_slots,
+    from_edges,
     graph_from_edge_mask,
     iter_all_graphs,
     line_graph,
@@ -29,6 +30,7 @@ from pcpoly.matching import (
     adjoint_polynomial,
     adjoint_unsigned,
     gamma_algebraic,
+    MATCHING_MAX_VERTICES,
     hat_graph,
     matching_counts,
     matching_polynomials,
@@ -40,6 +42,7 @@ from pcpoly.matching import (
 from oracles import chebyshev_2tn_half as _chebyshev_2tn_half
 from oracles import hermite_prob as _hermite
 from oracles import laguerre_scaled as _laguerre_scaled
+from oracles import matching_counts_recursive as _matching_counts_recursive
 from oracles import pad_zip as _pad
 
 
@@ -74,6 +77,27 @@ def test_matching_counts_examples():
     assert matching_counts(parse_graph("K4", "named")) == [1, 6, 3]
     assert matching_counts(parse_graph("C4", "named")) == [1, 4, 2]
     assert matching_counts(parse_graph("Kbar3", "named")) == [1]
+
+
+def test_matching_counts_beyond_twelve_vertices_match_recursive_oracle():
+    # one packed DP for every n; the limbs are as wide as T(n), the count of
+    # all matchings of K_n, so dense graphs are the ones that would carry
+    rng = random.Random(16)
+    telephone = [1, 1]
+    for k in range(1, 16):
+        telephone.append(telephone[-1] + k * telephone[-2])
+    for n in range(13, 17):
+        complete = [(i, j) for j in range(n) for i in range(j)]
+        assert sum(matching_counts(from_edges(n, complete))) == telephone[n]
+        for p in (0.3, 0.6, 0.9):
+            edges = [e for e in complete if rng.random() < p]
+            assert matching_counts(from_edges(n, edges)) == _matching_counts_recursive(n, edges)
+
+
+def test_matching_counts_fail_fast_above_cap():
+    n = MATCHING_MAX_VERTICES + 1
+    with pytest.raises(ValueError, match="capped at"):
+        matching_counts(parse_graph(f"K{n}", "named"))
 
 
 def test_line_graph_crosscheck_runs():

@@ -170,6 +170,25 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
         assert count <= keys * jobs * roots + targets, (fn, count, keys)
 
 
+def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypatch):
+    from pcpoly import matching
+
+    calls = Counter()
+    for fn in ("clique_partition_counts", "hat_graph"):
+        original = getattr(matching, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(matching, fn, counted)
+        monkeypatch.setattr(survey, fn, counted)
+    res = census_adjoint_check(5, 1)
+    assert res == {"identity": [], "gamma": [], "subgraph": []}
+    graphs = 1 << 10
+    assert calls == {"clique_partition_counts": graphs, "hat_graph": graphs - 1}
+
+
 def _labelled_graphs(n):
     slots = edge_slots(n)
     return tuple((adj_from_edge_mask(n, mask, slots), 1) for mask in range(1 << len(slots)))
