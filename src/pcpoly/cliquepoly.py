@@ -139,9 +139,7 @@ def beta(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
 
 def beta_algebraic(g: Graph) -> AlgebraicReal:
     """beta(G) as an exactly comparable algebraic number."""
-    pc = pc_polynomial(g)
-    enc = dominant_real_root(pc, Fraction(1, 2**24))
-    return AlgebraicReal.from_enclosure(pc, enc)
+    return AlgebraicReal.dominant_root(pc_polynomial(g), Fraction(1, 2**24))
 
 
 def compare_beta(g1: Graph, g2: Graph) -> str:
@@ -257,9 +255,7 @@ def spectral_radius(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
 
 
 def spectral_radius_algebraic(g: Graph) -> AlgebraicReal:
-    p = adjacency_char_poly(g)
-    enc = dominant_real_root(p, Fraction(1, 2**24))
-    return AlgebraicReal.from_enclosure(p, enc)
+    return AlgebraicReal.dominant_root(adjacency_char_poly(g), Fraction(1, 2**24))
 
 
 def is_complete_multipartite_equal_parts(g: Graph) -> bool:

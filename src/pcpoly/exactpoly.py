@@ -1,9 +1,13 @@
 """Exact polynomial arithmetic and certified real-root isolation.
 
-Polynomials are tuples of coefficients in ascending degree order, either all
-``int`` or all ``Fraction``.  Every root bound produced here is a rational
-interval certified by exact sign evaluations (or an exact rational hit), so
-no floating point enters any result.
+Polynomials are tuples of coefficients in ascending degree order.  Public
+entry points accept ``int`` or ``Fraction`` coefficients; the root kernel
+(squarefree decomposition, Sturm chains, bisection) runs on primitive
+``int`` tuples, and ``Fraction`` appears only at its boundary: the
+endpoints it returns and the candidates of the rational-root search.  Every
+root bound produced here is a rational interval certified by exact sign
+evaluations (or an exact rational hit), so no floating point enters any
+result.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ def clear_denominators(p) -> tuple:
     p = trim(p)
     if not p:
         return ()
+    if all(type(c) is int for c in p):
+        return primitive(p)
     lcm = 1
     for c in p:
         c = Fraction(c)
@@ -104,10 +110,7 @@ def clear_denominators(p) -> tuple:
 
 
 def content(p) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    return g or 1
+    return math.gcd(*p) or 1
 
 
 def primitive(p):
@@ -133,6 +136,29 @@ def divmod_exact(p, q):
             p[k + i] -= c * b
         p.pop()
     if any(p):
+        raise ArithmeticError("inexact polynomial division")
+    return trim(quot)
+
+
+def _div_exact_int(p, q):
+    """p / q in Z[x]; raises ArithmeticError unless q divides p there.
+
+    For a primitive q that divides p over the rationals the quotient is
+    integral (Gauss's lemma), so this is exact division by a primitive gcd.
+    """
+    r = list(p)
+    dq = len(q) - 1
+    lq = q[-1]
+    quot = [0] * max(len(r) - dq, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, rest = divmod(r[k + dq], lq)
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        quot[k] = c
+        if c:
+            for i in range(dq):  # the top term cancels by construction
+                r[k + i] -= c * q[i]
+    if any(r[:dq]):
         raise ArithmeticError("inexact polynomial division")
     return trim(quot)
 
@@ -184,36 +210,37 @@ def squarefree_part(p):
     g = gcd_int(p, derivative(p))
     if len(g) == 1:
         return p
-    return clear_denominators(divmod_exact(p, g))
+    return primitive(_div_exact_int(p, g))
 
 
 def squarefree_decomposition(p):
     """Yun decomposition: list of (multiplicity, primitive squarefree factor).
 
-    Runs exactly over the rationals; scaling intermediates would break the
-    c - b' bookkeeping, so only the emitted factors are normalized.
+    Runs exactly in Z[x] (D. Y. Y. Yun, SYMSAC 1976): every divisor is a
+    primitive gcd, so every quotient is integral.  b and c are always divided
+    by the same gcd, which keeps the c - b' bookkeeping exact; normalizing b
+    or c on its own would break it, so only the emitted factors are made
+    primitive.
     """
-    p = to_fraction_poly(primitive(trim(p)))
+    p = primitive(trim(p))
     out = []
     if len(p) <= 1:
         return out
     d = derivative(p)
-    a = to_fraction_poly(gcd_int(clear_denominators(p), clear_denominators(d)))
-    b = divmod_exact(p, a)
-    c = divmod_exact(d, a)
+    a = gcd_int(p, d)
+    b = _div_exact_int(p, a)
+    c = _div_exact_int(d, a)
     m = 1
     while len(b) > 1:
         delta = sub(c, derivative(b))
         if not delta:
-            out.append((m, clear_denominators(b)))
+            out.append((m, primitive(b)))
             break
-        f = to_fraction_poly(
-            gcd_int(clear_denominators(b), clear_denominators(delta))
-        )
+        f = gcd_int(b, delta)
         if len(f) > 1:
-            out.append((m, clear_denominators(f)))
-        b = divmod_exact(b, f)
-        c = divmod_exact(delta, f)
+            out.append((m, primitive(f)))
+        b = _div_exact_int(b, f)
+        c = _div_exact_int(delta, f)
         m += 1
     return out
 
@@ -264,7 +291,11 @@ def _sign_at(p, x) -> int:
     Evaluates d^k p(n/d), k = deg p, by Horner in integers: no rational
     normalization, and the sign is the same because d > 0.
     """
-    n, d = x.numerator, x.denominator
+    return _sign_nd(p, x.numerator, x.denominator)
+
+
+def _sign_nd(p, n, d) -> int:
+    """Sign of p(n/d) for integers n and d > 0, as in :func:`_sign_at`."""
     acc = 0
     power = 1
     for c in reversed(p):
@@ -274,7 +305,8 @@ def _sign_at(p, x) -> int:
 
 
 def variations_at(chain, x) -> int:
-    return _variations([_sign_at(f, x) for f in chain])
+    n, d = x.numerator, x.denominator
+    return _variations([_sign_nd(f, n, d) for f in chain])
 
 
 def variations_at_inf(chain, positive: bool) -> int:
@@ -304,7 +336,7 @@ def real_root_count(p, interval=(None, None)) -> int:
     ``None`` endpoints mean minus/plus infinity.  ``p`` may have rational
     coefficients and need not be squarefree.
     """
-    ip = clear_denominators(to_fraction_poly(trim(p)))
+    ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
     sq = squarefree_part(ip)
@@ -368,6 +400,34 @@ def _try_rational_root(p, lo, hi):
     return None
 
 
+def _bisect(p, lo, hi, width):
+    """Halve (lo, hi] around the sign change of ``p`` until hi - lo <= width.
+
+    Works on lo = a/d, hi = b/d over one shared denominator d: the midpoint
+    is (a + b)/2d, its sign comes from integer Horner (:func:`_sign_nd`), and
+    b - a never changes while d doubles.  Only the returned endpoints become
+    Fractions; an exact hit on a root returns it as both.
+    """
+    width = Fraction(width)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    gap = b - a
+    s_lo = _sign_nd(p, a, d)
+    while gap * width.denominator > width.numerator * d:
+        mid = a + b
+        d *= 2
+        s = _sign_nd(p, mid, d)
+        if s == 0:
+            hit = Fraction(mid, d)
+            return hit, hit
+        if s == s_lo:
+            a, b = mid, 2 * b
+        else:
+            a, b = 2 * a, mid
+    return Fraction(a, d), Fraction(b, d)
+
+
 def _refine_simple_root(p, chain, lo, hi, width):
     """Shrink (lo, hi] around the unique simple root of squarefree ``p``."""
     exact = _try_rational_root(p, lo, hi)
@@ -386,23 +446,17 @@ def _refine_simple_root(p, chain, lo, hi, width):
             step /= 4
     if _sign_at(p, hi) == 0:
         return hi, hi
-    s_lo = _sign_at(p, lo)
-    retry_exact = True
-    while hi - lo > width:
-        if retry_exact and hi - lo < 2:
-            retry_exact = False
-            exact = _try_rational_root(p, lo, hi)
-            if exact is not None:
-                return exact, exact
-        mid = (lo + hi) / 2
-        s = _sign_at(p, mid)
-        if s == 0:
-            return mid, mid
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    # the widths run (hi - lo) / 2^k; the rational-root search is retried
+    # once, at the first of them below 2 that is still wider than ``width``
+    first = hi - lo
+    while first >= 2:
+        first /= 2
+    lo, hi = _bisect(p, lo, hi, max(width, first))
+    if hi - lo > width:
+        exact = _try_rational_root(p, lo, hi)
+        if exact is not None:
+            return exact, exact
+    return _bisect(p, lo, hi, width)
 
 
 def _root_enclosures(factor, mult, sqfull, width):
@@ -434,8 +488,8 @@ def _root_enclosures(factor, mult, sqfull, width):
 
 
 def _enclosures_per_factor(p, width):
-    """One lazy :func:`_root_enclosures` iterator per squarefree factor of ``p``."""
-    ip = clear_denominators(to_fraction_poly(trim(p)))
+    """(factor, lazy :func:`_root_enclosures` iterator) per squarefree factor of ``p``."""
+    ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
     if width <= 0:
@@ -443,7 +497,7 @@ def _enclosures_per_factor(p, width):
     factors = squarefree_decomposition(ip)
     # the product of the factors has the roots of ip; it serves the zero tests
     sqfull = reduce(mul, (factor for _, factor in factors), (1,))
-    return [_root_enclosures(factor, mult, sqfull, width) for mult, factor in factors]
+    return [(factor, _root_enclosures(factor, mult, sqfull, width)) for mult, factor in factors]
 
 
 def isolate_real_roots(p, width=DEFAULT_WIDTH):
@@ -455,7 +509,7 @@ def isolate_real_roots(p, width=DEFAULT_WIDTH):
     (endpoints are nudged off roots of other factors).  Signs are taken by
     integer Horner (:func:`_sign_at`), so every decision is exact.
     """
-    out = [enc for encs in _enclosures_per_factor(p, width) for enc in encs]
+    out = [enc for _, encs in _enclosures_per_factor(p, width) for enc in encs]
     out.sort(key=lambda e: (e.lo, e.hi))
     return out
 
@@ -500,20 +554,25 @@ def dominant_real_root(p, width=DEFAULT_WIDTH) -> RootEnclosure:
     the other roots are never refined.  Signs are taken by integer Horner
     (:func:`_sign_at`).
     """
-    best = None
-    for encs in _enclosures_per_factor(p, width):
+    return _dominant_root_and_factor(p, width)[0]
+
+
+def _dominant_root_and_factor(p, width):
+    """(enclosure of the largest real root, the squarefree factor it is a root of)."""
+    best = best_factor = None
+    for factor, encs in _enclosures_per_factor(p, width):
         top = next(encs, None)
         # on equal keys the later factor wins, like the stable sort in isolate_real_roots
         if top is not None and (best is None or (top.lo, top.hi) >= (best.lo, best.hi)):
-            best = top
+            best, best_factor = top, factor
     if best is None:
         raise ValueError("polynomial has no real root")
-    return best
+    return best, best_factor
 
 
 def count_nonreal_roots(p) -> int:
     """Degree minus the multiplicity-weighted number of real roots."""
-    ip = clear_denominators(to_fraction_poly(trim(p)))
+    ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
     if len(ip) == 1:
@@ -553,13 +612,21 @@ class AlgebraicReal:
 
     @staticmethod
     def from_enclosure(p, enc: RootEnclosure) -> "AlgebraicReal":
-        sq = squarefree_part(clear_denominators(to_fraction_poly(p)))
-        return AlgebraicReal(sq, enc.lo, enc.hi)
+        """The root of ``p`` that ``enc`` (from this module's isolation) encloses.
+
+        The defining polynomial is the squarefree factor of multiplicity
+        ``enc.multiplicity``: the enclosure isolates one root of that factor,
+        while a root of another factor may lie inside it.
+        """
+        for mult, factor in squarefree_decomposition(clear_denominators(p)):
+            if mult == enc.multiplicity:
+                return AlgebraicReal(factor, enc.lo, enc.hi)
+        raise ValueError(f"no root of multiplicity {enc.multiplicity}")
 
     @staticmethod
     def dominant_root(p, width=Fraction(1, 10**6)) -> "AlgebraicReal":
-        enc = dominant_real_root(p, width)
-        return AlgebraicReal.from_enclosure(p, enc)
+        enc, factor = _dominant_root_and_factor(p, width)
+        return AlgebraicReal(factor, enc.lo, enc.hi)
 
     # -- basics
 
@@ -634,9 +701,12 @@ class AlgebraicReal:
                 return -1
             if other.hi < self.lo:
                 return 1
-            w = max(self.hi - self.lo, other.hi - other.lo, Fraction(1, 2**8))
-            self.refine(w / 4)
-            other.refine(w / 4)
+            w = max(self.hi - self.lo, other.hi - other.lo)
+            target = max(w, Fraction(1, 2**8)) / 4
+            if target >= w:  # both already inside the 2^-10 floor: keep shrinking
+                target = w / 4
+            self.refine(target)
+            other.refine(target)
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -113,7 +113,7 @@ def _matching_and_t(
     enc = dominant_real_root(pair.mu, width)
     lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
     pc = pc_poly_from_counts(line_ind)
-    target = AlgebraicReal.from_enclosure(pc, dominant_real_root(pc, Fraction(1, 2**24)))
+    target = AlgebraicReal.dominant_root(pc, Fraction(1, 2**24))
     assert target.compare_fraction(lo2) >= 0 and target.compare_fraction(hi2) <= 0, (
         "t^2 must be the complement line-graph growth rate"
     )
@@ -157,14 +157,29 @@ def t_squared_algebraic(g: Graph) -> AlgebraicReal:
 # adjoint polynomial
 
 
+PARTITION_VISIT_LIMIT = 1 << 20  # partitions per clique_partition_counts call; D5
+
+
 def clique_partition_counts(g: Graph) -> list[int]:
-    """a_k = number of partitions of V into exactly k nonempty cliques."""
+    """a_k = number of partitions of V into exactly k nonempty cliques.
+
+    Visits the partitions one by one; raises ValueError past
+    PARTITION_VISIT_LIMIT of them (K11 has 678 570, K12 4 213 597).
+    """
     n = g.n
     counts = [0] * (n + 1)
+    left = PARTITION_VISIT_LIMIT
 
     def rec(remaining: int, used: int):
+        nonlocal left
         if remaining == 0:
             counts[used] += 1
+            left -= 1
+            if left < 0:
+                raise ValueError(
+                    f"adjoint polynomial needs more than {PARTITION_VISIT_LIMIT} "
+                    "clique partitions on this graph"
+                )
             return
         v_bit = remaining & -remaining
         v = v_bit.bit_length() - 1

@@ -19,6 +19,7 @@ from .exactpoly import (
     AlgebraicReal,
     RatInterval,
     RootEnclosure,
+    _bisect,
     _sign_at,
     add,
     clear_denominators,
@@ -194,24 +195,7 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
             brackets.append((lo, hi))
             sign_hi = sign_lo
         hi = lo
-    out = []
-    for a, b_ in brackets[:how_many]:
-        if a == b_:
-            out.append(RootEnclosure(a, a, 1))
-            continue
-        sa = _sign_at(ipoly, a)
-        while b_ - a > width:
-            mid = (a + b_) / 2
-            v = _sign_at(ipoly, mid)
-            if v == 0:
-                a = b_ = mid
-                break
-            if v == sa:
-                a = mid
-            else:
-                b_ = mid
-        out.append(RootEnclosure(a, b_, 1))
-    return out
+    return [RootEnclosure(*_bisect(ipoly, a, b_, width), 1) for a, b_ in brackets[:how_many]]
 
 
 def ladder_limit_roots(r: int, p, t: int, width: Fraction = Fraction(1, 10**9)) -> RootEnclosure:

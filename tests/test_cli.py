@@ -154,6 +154,17 @@ def test_clique_work_bound_is_a_user_error(capsys):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("pcpoly: error: ")
 
 
+def test_adjoint_partition_bound_is_a_user_error(capsys):
+    # K14 has 190 899 322 partitions into cliques (the Bell number B14)
+    start = time.perf_counter()
+    assert main(["adjoint", "K14"]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("pcpoly: error: ") and "clique partitions" in lines[0]
+
+
 def _counting(monkeypatch, calls, module, name):
     original = getattr(module, name)
 

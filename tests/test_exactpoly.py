@@ -1,5 +1,6 @@
 """Root counting, isolation, and exact algebraic comparisons."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from pcpoly.exactpoly import (
     RatInterval,
     _sign_at,
     count_nonreal_roots,
+    count_roots_halfopen,
     degree,
     descartes_no_root_above,
     dominant_real_root,
@@ -26,6 +28,8 @@ from pcpoly.exactpoly import (
     real_root_count,
     shift_poly,
     sqrt_interval,
+    squarefree_decomposition,
+    sturm_chain,
     trim,
 )
 
@@ -285,3 +289,93 @@ def test_sqrt_interval_and_ratinterval():
     iv = (RatInterval.point(2).sqrt() + 1) * 2
     assert float(iv.lo) == pytest.approx(2 * (1 + 2**0.5), abs=1e-9)
     assert F(2) in RatInterval.point(2)
+
+
+_int_polys = st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(trim).filter(
+    lambda p: len(p) >= 2
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_int_polys, st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(-3, 3).filter(bool))
+def test_squarefree_decomposition_matches_sympy_sqf_list(parts, unit):
+    sympy = pytest.importorskip("sympy")
+    p = (unit,)
+    for q, mult in parts:
+        for _ in range(mult):
+            p = mul(p, q)
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(p)), x).sqf_list()
+    expected = {
+        (mult, exactpoly.primitive(tuple(int(c) for c in reversed(f.all_coeffs()))))
+        for f, mult in factors
+    }
+    assert set(squarefree_decomposition(p)) == expected
+
+
+def _seeded_polys(seed=20261018, count=240):
+    """Integer polynomials, every other one with a squared or cubed factor."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = trim([rng.randint(-12, 12) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)])
+        if i % 2:
+            q = trim([rng.randint(-5, 5) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 4)])
+            for _ in range(rng.randint(2, 3)):
+                p = mul(p, q)
+        yield p, (F(1, 10**6), F(1, 10**12), F(1, 3))[i % 3]
+
+
+def test_enclosures_match_pinned_digest():
+    digest = hashlib.sha256()
+    for p, width in _seeded_polys():
+        encs = isolate_real_roots(p, width)
+        digest.update(repr([(e.lo, e.hi, e.multiplicity) for e in encs]).encode())
+        if encs:
+            top = dominant_real_root(p, width)
+            digest.update(repr((top.lo, top.hi, top.multiplicity)).encode())
+    # computed with the earlier Fraction-based kernel (Yun over the rationals,
+    # Fraction midpoints), before the integer kernel replaced it
+    assert digest.hexdigest() == "29b1db19ce854fba7cf3cdfd7d5670d68c632bb9a8d641ead20681b3ad6ff59d"
+
+
+def test_integer_kernel_builds_no_fractions(monkeypatch):
+    built = []
+
+    class CountingFraction(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return F(*args, **kwargs)
+
+    monkeypatch.setattr(exactpoly, "Fraction", CountingFraction)
+    p = mul(mul((-2, 0, 1), (-2, 0, 1)), (1, 3, -4, 0, 7))
+    assert count_nonreal_roots(p) == 2
+    assert squarefree_decomposition(p) == [(1, (1, 3, -4, 0, 7)), (2, (-2, 0, 1))]
+    assert built == []
+
+
+def test_enclosure_holding_another_factors_root():
+    # beta = sqrt(2 + 1e-9) is simple; sqrt(2), a double root, lies 3.5e-10 below it
+    p = mul(mul((-2, 0, 1), (-2, 0, 1)), (-(2 * 10**9 + 1), 0, 10**9))
+    beta = AlgebraicReal.dominant_root(p)
+    assert beta.poly == (-(2 * 10**9 + 1), 0, 10**9)
+    beta.refine(1e-15)
+    assert beta.lo * beta.lo < F(2 * 10**9 + 1, 10**9) < beta.hi * beta.hi
+    below = beta.lo - F(1, 10**16)
+    above = beta.hi + F(1, 10**16)
+    assert beta.compare_fraction(below) > 0 and beta.compare_fraction(above) < 0
+    # both enclosures overlap inside compare's 2^-10 refinement floor
+    assert beta.compare(AlgebraicReal.dominant_root((-2, 0, 1))) > 0
+    [enc] = [e for e in isolate_real_roots(p, F(1, 10**6)) if e.lo > 0 and e.multiplicity == 1]
+    assert AlgebraicReal.from_enclosure(p, enc).poly == beta.poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys_with_real_roots(), st.sampled_from((F(1, 2**8), F(1, 2**24))))
+def test_from_enclosure_isolates_one_root_of_its_polynomial(p, width):
+    for enc in isolate_real_roots(p, width):
+        alg = AlgebraicReal.from_enclosure(p, enc)
+        if enc.is_exact():
+            assert eval_at(alg.poly, enc.lo) == 0
+        else:
+            assert count_roots_halfopen(sturm_chain(alg.poly), enc.lo, enc.hi) == 1
