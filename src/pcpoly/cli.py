@@ -3,8 +3,8 @@
 Every numeric answer is printed from exact rationals; ``--format`` switches
 between human text, JSON, and CSV.  Exit status is 0 iff no survey check
 reported a violation, and 2 on a user error (a malformed graph, a size out of
-range, a bad ``PCPOLY_THREADS``, an input beyond a work bound), which prints
-one ``pcpoly: error:`` line.
+range, an input beyond a work bound), which prints one ``pcpoly: error:``
+line.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="enclosure width for root computations")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count (default: PCPOLY_THREADS or all cores)")
     parser = argparse.ArgumentParser(prog="pcpoly", description=__doc__,
                                      parents=[common])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda
@@ -165,8 +163,6 @@ def main(argv=None) -> int:
         args.width = DEFAULT_WIDTH
     if not hasattr(args, "format"):
         args.format = "text"
-    if not hasattr(args, "threads"):
-        args.threads = None
     try:
         return _run(args)
     except ValueError as exc:  # GraphError included: input and range checks
@@ -294,9 +290,8 @@ def _run(args) -> int:
         g = _load_graph(args)
         _emit(_describe(spectral_radius(g, args.width)), fmt)
     elif args.command == "survey":
-        threads = survey_mod.resolve_threads(args.threads)
         if args.what == "nonreal":
-            row = survey_mod.survey_nonreal(args.n, threads)
+            row = survey_mod.survey_nonreal(args.n)
             _emit(
                 {
                     "n": row.n,
@@ -308,7 +303,7 @@ def _run(args) -> int:
                 fmt,
             )
         elif args.what == "bounds":
-            res = survey_mod.survey_bounds(args.n, threads)
+            res = survey_mod.survey_bounds(args.n)
             _emit(
                 {
                     "n": res["n"],
@@ -322,9 +317,9 @@ def _run(args) -> int:
             if res["violations"]:
                 exit_code = 1
         elif args.what == "dump":
-            print(survey_mod.graph_census_csv(args.n, args.width, threads), end="")
+            print(survey_mod.graph_census_csv(args.n, args.width), end="")
         else:
-            lo, hi = survey_mod.average_beta(args.n, args.width, threads)
+            lo, hi = survey_mod.average_beta(args.n, args.width)
             _emit({"average_lo": str(lo), "average_hi": str(hi),
                    "approx": float((lo + hi) / 2)}, fmt)
     return exit_code

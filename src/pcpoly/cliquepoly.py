@@ -24,7 +24,7 @@ from .exactpoly import (
     to_fraction_poly,
     trim,
 )
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits, complement, connected_components, induced_subgraph_mask
 
 
 @dataclass(frozen=True)
@@ -178,29 +178,9 @@ def independence_at_minus_one(g: Graph) -> tuple[int, int]:
 
 def _is_forest_mask(g: Graph, mask: int) -> bool:
     verts = bits(mask)
-    edge_cnt = 0
-    for v in verts:
-        edge_cnt += (g.adj[v] & mask).bit_count()
-    edge_cnt //= 2
+    edge_cnt = sum((g.adj[v] & mask).bit_count() for v in verts) // 2
     # acyclic iff every component is a tree; equivalent to |E| = |V| - #components
-    comp = 0
-    remaining = mask
-    while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= g.adj[b.bit_length() - 1] & mask
-                m ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-        comp += 1
-        remaining &= ~seen
-    return edge_cnt == len(verts) - comp
+    return edge_cnt == len(verts) - len(connected_components(g, mask))
 
 
 def decycling_number(g: Graph) -> int:
@@ -260,8 +240,6 @@ def spectral_radius_algebraic(g: Graph) -> AlgebraicReal:
 
 def is_complete_multipartite_equal_parts(g: Graph) -> bool:
     """True iff the complement is a disjoint union of equal-size cliques."""
-    from .graphs import connected_components, induced_subgraph_mask
-
     comp = complement(g)
     comps = connected_components(comp)
     sizes = {m.bit_count() for m in comps}

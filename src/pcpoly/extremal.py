@@ -42,21 +42,17 @@ class ExtremalResult:
     bound_kind: str  # "max" | "min"
     conditional: str | None = None
 
-    def beta_float(self) -> float:
-        return float(self.predicted_beta)
 
-
-def _verify_predicted(result: ExtremalResult) -> None:
-    pc = pc_polynomial(result.graph)
-    pred = result.predicted_beta
-    actual = beta_algebraic(result.graph)
+def _assert_is_beta(g: Graph, pred) -> None:
+    """Assert that the Fraction, QuadSurd or enclosure ``pred`` is beta(g)."""
+    actual = beta_algebraic(g)
     if isinstance(pred, Fraction):
         assert actual.compare_fraction(pred) == 0, "predicted value is not beta"
     elif isinstance(pred, QuadSurd):
-        assert is_root_surd(pc, pred), "predicted value is not a root"
+        assert is_root_surd(pc_polynomial(g), pred), "predicted value is not a root"
         assert actual.compare(pred.to_algebraic()) == 0, "predicted value is not beta"
     else:
-        assert pred.lo <= actual.hi and actual.lo <= pred.hi
+        assert pred.lo <= actual.hi and actual.lo <= pred.hi, "predicted value is not beta"
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +104,8 @@ def max_beta_graph(n: int, k: int) -> ExtremalResult:
         pred = Fraction(1)
     else:
         pred = dominant_real_root(assembled)
-    result = ExtremalResult(g, pred, "max")
-    _verify_predicted(result)
-    return result
+    _assert_is_beta(g, pred)
+    return ExtremalResult(g, pred, "max")
 
 
 def max_beta_equality_family(n: int, k: int) -> set[tuple[int, ...]]:
@@ -182,20 +177,18 @@ def min_beta_graph(n: int, k: int) -> ExtremalResult:
     if 4 * k <= n * n:
         # triangle-free regime, unconditional
         if k == 0:
-            g = empty_graph(n)
-            result = ExtremalResult(g, Fraction(n), "min")
+            g, pred = empty_graph(n), Fraction(n)
         else:
             g = from_edges(n, _triangle_free_edges(list(range(n)), k))
-            result = ExtremalResult(g, QuadSurd.make(n, n * n - 4 * k, 2), "min")
-        _verify_predicted(result)
-        return result
+            pred = QuadSurd.make(n, n * n - 4 * k, 2)
+        _assert_is_beta(g, pred)
+        return ExtremalResult(g, pred, "min")
 
     w = _regime_w(n, k)
     if Fraction(k) == Fraction(n * n, 2) * (1 - Fraction(1, w)) and n % w == 0:
         g = complete_multipartite([n // w] * w)
-        result = ExtremalResult(g, Fraction(n, w), "min")
-        _verify_predicted(result)
-        return result
+        _assert_is_beta(g, Fraction(n, w))
+        return ExtremalResult(g, Fraction(n, w), "min")
 
     # try the K_{n1,...,n1,b} base, smallest feasible n1 first
     n1_lo = n // w + 1
@@ -222,11 +215,9 @@ def min_beta_graph(n: int, k: int) -> ExtremalResult:
             edges += _triangle_free_edges(verts, extra)
             start += n1
         g = from_edges(n, edges)
-        result = ExtremalResult(
-            g, QuadSurd.make(n1, n1 * n1 - 4 * c, 2), "min", "Conjecture 9.1"
-        )
-        _verify_predicted(result)
-        return result
+        pred = QuadSurd.make(n1, n1 * n1 - 4 * c, 2)
+        _assert_is_beta(g, pred)
+        return ExtremalResult(g, pred, "min", "Conjecture 9.1")
 
     # sparse side: balanced (w-1)-partite base with l/l+1 parts
     l = n // (w - 1)
@@ -246,11 +237,9 @@ def min_beta_graph(n: int, k: int) -> ExtremalResult:
         edges += _triangle_free_edges(verts, extra)
         start += l + 1
     g = from_edges(n, edges)
-    result = ExtremalResult(
-        g, QuadSurd.make(l + 1, (l + 1) ** 2 - 4 * c, 2), "min", "Conjecture 9.1"
-    )
-    _verify_predicted(result)
-    return result
+    pred = QuadSurd.make(l + 1, (l + 1) ** 2 - 4 * c, 2)
+    _assert_is_beta(g, pred)
+    return ExtremalResult(g, pred, "min", "Conjecture 9.1")
 
 
 # ---------------------------------------------------------------------------
@@ -397,65 +386,43 @@ def _triangle_free_edges_bip_hubs(n: int, k: int) -> list[tuple[int, int]]:
     return pairs[:k]
 
 
-def _assert_is_beta(g: Graph, pred) -> None:
-    actual = beta_algebraic(g)
-    if isinstance(pred, Fraction):
-        assert actual.compare_fraction(pred) == 0
-    elif isinstance(pred, QuadSurd):
-        assert is_root_surd(pc_polynomial(g), pred)
-        assert actual.compare(pred.to_algebraic()) == 0
-    else:
-        assert pred.lo <= actual.hi and actual.lo <= pred.hi
-
-
 # ---------------------------------------------------------------------------
 # planarity for tiny graphs
 
-
-def _has_clique_subgraph(g: Graph, verts) -> bool:
-    return all(g.has_edge(a, b) for a, b in combinations(verts, 2))
-
-
-def _has_k5_subdivided(g: Graph) -> bool:
-    """K5 with exactly one edge subdivided; needs six vertices."""
-    if g.n < 6:
-        return False
-    for branch in combinations(range(g.n), 5):
-        rest = [v for v in range(g.n) if v not in branch]
-        for a, b in combinations(branch, 2):
-            others = [(x, y) for x, y in combinations(branch, 2) if (x, y) != (a, b)]
-            if not all(g.has_edge(x, y) for x, y in others):
-                continue
-            for w in rest:
-                if g.has_edge(w, a) and g.has_edge(w, b):
-                    return True
-    return False
-
-
-def _has_k33(g: Graph) -> bool:
-    if g.n < 6:
-        return False
-    for left in combinations(range(g.n), 3):
-        rest = [v for v in range(g.n) if v not in left]
-        for right in combinations(rest, 3):
-            if all(g.has_edge(a, b) for a in left for b in right):
-                return True
-    return False
+# the ten 3|3 splits of six vertices: the side holding vertex 0, and the other side's mask
+_K33_SPLITS = tuple(
+    ((0, b, c), 63 ^ (1 | 1 << b | 1 << c)) for b in range(1, 6) for c in range(b + 1, 6)
+)
 
 
 def is_planar_small(g: Graph) -> bool:
-    """Planarity by brute-force forbidden-subdivision search; n <= 6 only.
+    """Planarity by forbidden-subgraph tests on row masks; n <= 6 only.
 
     On at most six vertices the only K5/K3,3 subdivisions are K5 itself, K5
-    with one subdivided edge, and K3,3 itself.
+    with one subdivided edge, and K3,3 itself.  Each five-vertex set (all of
+    V at n = 5, V minus one vertex w at n = 6) is a K5 when no pair in it is
+    missing, and a subdivided K5 when exactly one pair a, b is missing and w
+    is adjacent to both.  K3,3 is tested on the ten 3|3 splits.
     """
-    if g.n > 6:
-        raise ValueError("brute-force planarity is restricted to n <= 6")
-    if g.n >= 5:
-        for verts in combinations(range(g.n), 5):
-            if _has_clique_subgraph(g, verts):
-                return False
-    return not (_has_k5_subdivided(g) or _has_k33(g))
+    n, adj = g.n, g.adj
+    if n > 6:
+        raise ValueError("small-graph planarity is restricted to n <= 6")
+    if n < 5:
+        return True
+    full = (1 << n) - 1
+    for w in range(6) if n == 6 else (5,):  # w = 5 at n = 5 leaves all of V
+        five = full & ~(1 << w)
+        gaps = missing = 0  # each missing pair counts twice in gaps
+        for v in range(n):
+            if v != w:
+                gap = five & ~adj[v] & ~(1 << v)
+                gaps += gap.bit_count()
+                missing |= gap
+        if gaps == 0 or (gaps == 2 and n == 6 and adj[w] & missing == missing):
+            return False
+    return n == 5 or not any(
+        adj[a] & adj[b] & adj[c] & right == right for (a, b, c), right in _K33_SPLITS
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,7 @@ class Graph:
         return bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] & ~((1 << (u + 1)) - 1)
-            while m:
-                b = m & -m
-                out.append((u, b.bit_length() - 1))
-                m ^= b
-        return out
+        return edge_list(self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -84,6 +77,18 @@ def bits(mask: int) -> list[int]:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
+    return out
+
+
+def edge_list(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v of the adjacency rows, sorted."""
+    out = []
+    for u, row in enumerate(adj):
+        m = row >> (u + 1) << (u + 1)
+        while m:
+            b = m & -m
+            out.append((u, b.bit_length() - 1))
+            m ^= b
     return out
 
 
@@ -408,29 +413,13 @@ def graph_join_union(g1: Graph, g2: Graph, kind: str) -> Graph:
     raise GraphError(f"unknown kind {kind!r}")
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= g.adj[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components."""
-    remaining = (1 << g.n) - 1
+def connected_components(g: Graph, within: int | None = None) -> list[int]:
+    """Vertex masks of the connected components, of the subgraph induced on
+    the vertex mask ``within`` when given."""
+    remaining = (1 << g.n) - 1 if within is None else within
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
+        seen = frontier = remaining & -remaining
         while frontier:
             nxt = 0
             m = frontier
@@ -438,11 +427,15 @@ def connected_components(g: Graph) -> list[int]:
                 b = m & -m
                 nxt |= g.adj[b.bit_length() - 1]
                 m ^= b
-            frontier = nxt & ~seen
+            frontier = nxt & remaining & ~seen
             seen |= frontier
         comps.append(seen)
         remaining &= ~seen
     return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) == 1
 
 
 def is_claw_free(g: Graph) -> bool:
@@ -461,17 +454,9 @@ def is_claw_free(g: Graph) -> bool:
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
     """All labelled graphs on n vertices, ordered by edge-slot bitmask."""
-    slots = [(i, j) for j in range(1, n) for i in range(j)]
+    slots = edge_slots(n)
     for mask in range(1 << len(slots)):
-        adj = [0] * n
-        m = mask
-        while m:
-            b = m & -m
-            i, j = slots[b.bit_length() - 1]
-            m ^= b
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        yield Graph(n, tuple(adj))
+        yield graph_from_edge_mask(n, mask, slots)
 
 
 def adj_from_edge_mask(n: int, mask: int, slots: Sequence[tuple[int, int]]) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliquepoly import independence_polynomial, pc_poly_from_counts
+from .cliquepoly import clique_counts, independence_polynomial, pc_poly_from_counts
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
@@ -20,7 +20,7 @@ from .exactpoly import (
     dominant_real_root,
     trim,
 )
-from .graphs import Graph, line_graph
+from .graphs import Graph, complement_adj, edge_list, line_graph
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class MatchingPair:
 
     mu: tuple  # ascending integer coefficients, degree n
     generating: tuple  # m_0, m_1, ..., m_nu
-
-    @property
-    def matching_number(self) -> int:
-        return len(self.generating) - 1
 
 
 MATCHING_MAX_VERTICES = 19  # the 2^n subset table; DECISIONS.md D5
@@ -160,13 +156,14 @@ def t_squared_algebraic(g: Graph) -> AlgebraicReal:
 PARTITION_VISIT_LIMIT = 1 << 20  # partitions per clique_partition_counts call; D5
 
 
-def clique_partition_counts(g: Graph) -> list[int]:
-    """a_k = number of partitions of V into exactly k nonempty cliques.
+def clique_partition_counts(adj) -> list[int]:
+    """a_k = number of partitions of the vertex set into exactly k nonempty cliques.
 
-    Visits the partitions one by one; raises ValueError past
-    PARTITION_VISIT_LIMIT of them (K11 has 678 570, K12 4 213 597).
+    ``adj`` are the adjacency rows.  Visits the partitions one by one; raises
+    ValueError past PARTITION_VISIT_LIMIT of them (K11 has 678 570, K12
+    4 213 597).
     """
-    n = g.n
+    n = len(adj)
     counts = [0] * (n + 1)
     left = PARTITION_VISIT_LIMIT
 
@@ -185,7 +182,7 @@ def clique_partition_counts(g: Graph) -> list[int]:
         v = v_bit.bit_length() - 1
         rest = remaining ^ v_bit
         # enumerate cliques containing v inside `remaining`
-        stack = [(v_bit, g.adj[v] & rest)]
+        stack = [(v_bit, adj[v] & rest)]
         while stack:
             clique_mask, cand = stack.pop()
             rec(remaining & ~clique_mask, used + 1)
@@ -194,78 +191,77 @@ def clique_partition_counts(g: Graph) -> list[int]:
                 b = m & -m
                 u = b.bit_length() - 1
                 m ^= b
-                if (g.adj[u] & clique_mask) == clique_mask:
-                    stack.append((clique_mask | b, cand & g.adj[u] & ~((b << 1) - 1)))
+                if (adj[u] & clique_mask) == clique_mask:
+                    stack.append((clique_mask | b, cand & adj[u] & ~((b << 1) - 1)))
 
     rec((1 << n) - 1, 0)
     return counts
 
 
-def adjoint_polynomial(g: Graph, partitions: list[int] | None = None) -> tuple:
-    """Signed adjoint polynomial sum (-1)^(n-k) a_k x^k, ascending integers.
-
-    ``partitions``, when given, is ``clique_partition_counts(g)``.
-    """
-    counts = clique_partition_counts(g) if partitions is None else partitions
+def adjoint_polynomial(g: Graph) -> tuple:
+    """Signed adjoint polynomial sum (-1)^(n-k) a_k x^k, ascending integers."""
+    counts = clique_partition_counts(g.adj)
     n = g.n
     return trim((-1) ** (n - k) * counts[k] for k in range(n + 1))
 
 
 def adjoint_unsigned(g: Graph) -> tuple:
-    return trim(clique_partition_counts(g))
+    return trim(clique_partition_counts(g.adj))
 
 
-def hat_graph(g: Graph) -> Graph:
-    """Edge-conflict graph: vertices are edges; two edges clash unless they
-    are disjoint or share their smaller endpoint with adjacent upper ends.
+def hat_rows(adj) -> tuple[int, ...]:
+    """Adjacency rows of the edge-conflict graph, on the edges in ``edge_list`` order.
 
-    Compatible pairs are exactly those that can appear together in the
-    minimum-rooted star encoding of a partition into cliques, which makes the
-    independent sets of the result count clique partitions.
+    Two edges clash unless they are disjoint or share their smaller endpoint
+    with adjacent upper ends.  Compatible pairs are exactly those that can
+    appear together in the minimum-rooted star encoding of a partition into
+    cliques, which makes the independent sets of the result count clique
+    partitions.  Symmetric and loopless by construction; no rows for an
+    edgeless graph.
     """
-    edges = g.edges()
+    edges = edge_list(adj)
     m = len(edges)
     if m > 64:
         raise ValueError("edge-conflict graph capped at 64 edges")
-    adj = [0] * max(m, 1)
-    for a in range(m):
-        i, j = edges[a]
+    ends = [1 << i | 1 << j for i, j in edges]
+    rows = [0] * m
+    for a, (i, j) in enumerate(edges):
         for b in range(a + 1, m):
             k, l = edges[b]
-            shared = len({i, j} & {k, l}) > 0
-            if not shared:
+            if not ends[a] & ends[b]:
                 continue
-            if i == k and g.has_edge(j, l):
+            if i == k and adj[j] >> l & 1:
                 continue  # common smaller endpoint, adjacent upper ends
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    if m == 0:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return tuple(rows)
+
+
+def hat_graph(g: Graph) -> Graph:
+    """The edge-conflict graph of :func:`hat_rows` as a ``Graph``."""
+    rows = hat_rows(g.adj)
+    if not rows:
         raise ValueError("graph has no edges")
-    return Graph(m, tuple(adj))
+    return Graph(len(rows), rows)
 
 
-def adjoint_identity_holds(
-    g: Graph, partitions: list[int] | None = None, hat: Graph | None = None
-) -> bool:
+def hat_identity_holds(adj, partitions, hat) -> bool:
     """Exact check: unsigned adjoint = x^n I(hat, 1/x) coefficientwise.
 
-    ``partitions`` and ``hat``, when given, are ``clique_partition_counts(g)``
-    and ``hat_graph(g)``.
+    ``partitions`` and ``hat`` are ``clique_partition_counts(adj)`` and
+    ``hat_rows(adj)``.  The independence polynomial of the hat graph is the
+    clique polynomial of its complement.
     """
-    unsigned = trim(clique_partition_counts(g) if partitions is None else partitions)
-    n = g.n
-    if g.edge_count == 0:
-        expected = [0] * (n + 1)
-        expected[n] = 1
-        return unsigned == trim(expected)
-    if hat is None:
-        hat = hat_graph(g)
-    ind = independence_polynomial(hat)
-    # x^n I(1/x): coefficient of x^(n - j) is ind[j]
-    lifted = [0] * (n + 1)
-    for j, c in enumerate(ind):
+    n = len(adj)
+    lifted = [0] * (n + 1)  # x^n I(1/x): x^(n - j) takes the x^j coefficient of I
+    for j, c in enumerate(clique_counts(complement_adj(hat), len(hat))):
         lifted[n - j] = c
-    return unsigned == trim(lifted)
+    return trim(partitions) == trim(lifted)
+
+
+def adjoint_identity_holds(g: Graph) -> bool:
+    """:func:`hat_identity_holds` for a ``Graph``."""
+    return hat_identity_holds(g.adj, clique_partition_counts(g.adj), hat_rows(g.adj))
 
 
 def gamma_algebraic(g: Graph) -> AlgebraicReal:

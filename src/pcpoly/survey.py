@@ -1,47 +1,42 @@
-"""Exhaustive graph censuses through two drivers.
+"""Exhaustive graph censuses through one driver.
 
-Every census checks a claim on all graphs with n vertices.  A driver hands
-each graph's adjacency rows to the census's
-``visit(n, adj, verdicts, events, weight)``:
+Every census checks a claim on all graphs with n vertices.  The driver
+:func:`_census` is one in-process loop over ``(adjacency rows, weight)``
+pairs that hands each to the census's ``visit(adj, verdict, events, weight)``:
 
-* ``verdicts`` is a memo (``_KeyMemo``) of the census's pure ``decide(key)``,
-  which runs the exact algebra (Sturm counts, root refinement, certified
-  comparison) once per invariant key.  The growth rate and every root fact
-  the censuses check depend only on the clique profile (c_0..c_omega); for
-  the local-lemma census on (max degree, clique counts of the complement),
-  and for the adjoint census on (matching counts, adjoint polynomial).
+* ``verdict`` is the census's pure ``decide`` behind ``functools.cache``, so
+  the exact algebra (Sturm counts, root refinement, certified comparison)
+  runs once per invariant key.  The growth rate and every root fact the
+  censuses check depend only on the clique profile (c_0..c_omega); for the
+  local-lemma census on (max degree, clique counts of the complement), and
+  for the adjoint census on (matching counts, adjoint polynomial).
 * ``events`` is a ``Counter`` to which the visit adds ``weight`` per
   hashable event: a violator's graph6, an equality, a CSV row.  The
   non-real and average censuses only count the profile and decide once per
   profile afterwards.
 
-The class driver :func:`_census` serves the ten censuses whose checks are
-isomorphism invariants: non-real roots, bounds, average, extremal, matching,
-local lemma, identities, monoid, planar and decycling.  It visits, in
-process, one canonical representative per class from
-:func:`graphs.graph_classes` (156 classes for the 2^15 labelled graphs on six
-vertices, 1 044 for the 2^21 on seven), with weight n!/|Aut G|, the number of
-labelled graphs in the class.  Every tally therefore equals the one over all
-labelled graphs, and a violator is reported as the graph6 of its class's
-canonical representative.  Their ``threads`` argument is accepted and unused.
+A check that is an isomorphism invariant visits one canonical representative
+per class from :func:`graphs.graph_classes` (156 classes for the 2^15
+labelled graphs on six vertices, 1 044 for the 2^21 on seven), with weight
+n!/|Aut G|, the number of labelled graphs in the class.  Every tally
+therefore equals the one over all labelled graphs, and a violator is
+reported as the graph6 of its class's canonical representative.  Two checks
+depend on vertex names and visit every labelled graph at weight 1, in
+edge-mask order (:func:`_labelled_graphs`): ``graph_census_csv`` writes one
+row per labelled graph, and ``census_adjoint_check`` checks the hat graph,
+which depends on the vertex order, while its gamma <= t^2 check runs on the
+classes.
 
-The labelled driver :func:`_labelled_census` serves the two censuses that
-depend on vertex names: ``graph_census_csv`` writes one row per labelled
-graph, and ``census_adjoint_check`` checks the hat graph, which depends on
-the vertex order.  It walks all 2^C(n,2) edge masks with weight 1, split into
-``threads * 4`` contiguous chunks on a process pool, each chunk with its own
-memo.  The chunk Counters are summed in mask order, so every count and the
-first-seen order of every event are the same at any thread count.
+Every census accepts a ``threads`` argument and ignores it; it is kept for
+callers written when the labelled censuses ran on a process pool.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from multiprocessing import Pool
+from functools import cache, partial
 
 from .cliquepoly import (
     clique_counts,
@@ -61,7 +56,6 @@ from .exactpoly import (
     dominant_real_root,
     eval_at,
     neg,
-    squarefree_part,
     sub,
     trim,
 )
@@ -77,17 +71,18 @@ from .graphs import (
     Graph,
     adj_from_edge_mask,
     complement_adj,
+    edge_list,
     edge_slots,
     graph_classes,
-    line_graph,
     relabel,
     to_graph6,
 )
 from .matching import (
-    adjoint_identity_holds,
     adjoint_polynomial,
     clique_partition_counts,
-    hat_graph,
+    hat_identity_holds,
+    hat_rows,
+    matching_counts,
     matching_counts_from_adj,
 )
 from .monoid import m_sequence, normal_form_counts
@@ -95,21 +90,8 @@ from .transforms import threshold_vector_of
 
 # starting enclosure width of beta before a certified comparison refines it
 _COMPARE_WIDTH = Fraction(1, 2**20)
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    if threads is not None and threads > 0:
-        return threads
-    env = os.environ.get("PCPOLY_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"PCPOLY_THREADS must be a positive integer, got {env!r}")
-        return value
-    return max(1, os.cpu_count() or 1)
+# enclosure width of the predicted extremes the censuses compare against
+_TARGET_WIDTH = Fraction(1, 10**12)
 
 
 def _check_size(n: int) -> None:
@@ -118,72 +100,76 @@ def _check_size(n: int) -> None:
         raise ValueError("census supported for 1 <= n <= 7")
 
 
-class _KeyMemo(dict):
-    """Memo of a pure ``decide(key)``: one per class census, one per labelled job."""
-
-    def __init__(self, decide):
-        super().__init__()
-        self.decide = decide
-
-    def __missing__(self, key):
-        value = self[key] = self.decide(key)
-        return value
-
-
-def _census(n: int, visit, decide=None) -> Counter:
-    """Sum of the events ``visit`` counts over the classes on n vertices.
-
-    Each class counts with its weight, the number of labelled graphs in it.
-    """
-    verdicts = _KeyMemo(decide)
+def _census(graphs, visit, decide=None) -> Counter:
+    """Sum of the events ``visit`` counts over the ``(adj, weight)`` pairs."""
+    verdict = cache(decide) if decide else None
     events = Counter()
-    for adj, weight in graph_classes(n):
-        visit(n, adj, verdicts, events, weight)
+    for adj, weight in graphs:
+        visit(adj, verdict, events, weight)
     return events
 
 
-def _census_job(job) -> Counter:
-    n, start, end, visit, decide = job
+def _labelled_graphs(n: int):
+    """Every labelled graph on n vertices at weight 1, in edge-mask order."""
     slots = edge_slots(n)
-    verdicts = _KeyMemo(decide)
-    events = Counter()
-    for mask in range(start, end):
-        visit(n, adj_from_edge_mask(n, mask, slots), verdicts, events, 1)
-    return events
+    return ((adj_from_edge_mask(n, mask, slots), 1) for mask in range(1 << len(slots)))
 
 
-def _labelled_census(n: int, threads: int | None, visit, decide=None) -> Counter:
-    """Sum of the events ``visit`` counts over every labelled graph on n vertices.
-
-    The masks are split into ``threads * 4`` contiguous chunks and the job
-    Counters summed in mask order.
-    """
-    total = 1 << (n * (n - 1) // 2)
-    threads = min(resolve_threads(threads), total)
-    step = -(-total // (threads * 4))
-    jobs = [(n, a, min(a + step, total), visit, decide) for a in range(0, total, step)]
-    if threads == 1:
-        parts = map(_census_job, jobs)
-    else:
-        with Pool(threads) as pool:
-            parts = pool.map(_census_job, jobs)
-    events = Counter()
-    for part in parts:
-        events.update(part)
-    return events
+def _g6(adj) -> str:
+    return to_graph6(Graph(len(adj), adj))
 
 
-def _visit_profile(n, adj, verdicts, events, weight):
-    events[tuple(clique_counts(adj, n))] += weight
+def _visit_profile(adj, verdict, events, weight):
+    events[tuple(clique_counts(adj, len(adj)))] += weight
 
 
 def _edges(counts) -> int:
     return counts[2] if len(counts) > 2 else 0
 
 
-def _compare_target(b: AlgebraicReal, poly, lo, hi) -> int:
-    """Exact sign of b minus the algebraic target (poly, lo, hi)."""
-    return b.compare_fraction(lo) if lo == hi else b.compare(AlgebraicReal(poly, lo, hi))
+class _DominantRoot:
+    """Exact comparisons of the largest real root of a monic integer polynomial.
+
+    Each comparison first tries a certified prefilter on the side the caller
+    expects.  Only when the prefilter leaves it open is the root isolated, by
+    ``AlgebraicReal.dominant_root``, at most once per polynomial.
+    """
+
+    def __init__(self, poly):
+        self.poly = poly
+        self._root = None
+
+    def sign(self, target, expect: int) -> int:
+        """Exact sign of the root minus ``target``, a Fraction or an AlgebraicReal.
+
+        With ``expect`` -1, no root at or above the target's lower end
+        (Descartes) gives -1; with +1, a negative value at its upper end
+        gives +1.
+        """
+        if not isinstance(target, AlgebraicReal):
+            target = AlgebraicReal.from_rational(target)
+        if expect < 0 and descartes_no_root_above(self.poly, target.lo):
+            return -1
+        if expect > 0 and _sign_at(self.poly, target.hi) < 0:
+            return 1
+        if self._root is None:
+            self._root = AlgebraicReal.dominant_root(self.poly, _COMPARE_WIDTH)
+        return self._root.compare(target)
+
+
+def _target(pred, poly=None) -> AlgebraicReal:
+    """A predicted growth rate, refined to ``_TARGET_WIDTH``.
+
+    ``pred`` is a Fraction, a QuadSurd, or an enclosure of a root of ``poly``.
+    """
+    if isinstance(pred, Fraction):
+        alg = AlgebraicReal.from_rational(pred)
+    elif isinstance(pred, QuadSurd):
+        alg = pred.to_algebraic()
+    else:
+        alg = AlgebraicReal.from_enclosure(poly, pred)
+    alg.refine(_TARGET_WIDTH)
+    return alg
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
     """Census of recurrence polynomials with non-real roots, exact integers."""
     _check_size(n)
     polys = roots_total = roots_nonreal = 0
-    for counts, graphs in _census(n, _visit_profile).items():
+    for counts, graphs in _census(graph_classes(n), _visit_profile).items():
         roots_total += graphs * (len(counts) - 1)
         nonreal = count_nonreal_roots(pc_poly_from_counts(counts))
         if nonreal:
@@ -257,11 +243,10 @@ def _decide_bounds(counts, n: int):
     return cmp_fisher == 0 and k > 0, tuple(names), envelope
 
 
-def _visit_bounds(n, adj, verdicts, events, weight):
-    counts = tuple(clique_counts(adj, n))
-    first = counts not in verdicts
-    fisher_equal, names, envelope = verdicts[counts]
-    if first and envelope:
+def _visit_bounds(adj, verdict, events, weight):
+    n = len(adj)
+    fisher_equal, names, envelope = verdict(tuple(clique_counts(adj, n)))
+    if envelope:
         events["envelope", envelope] += weight  # only the extremes count
     if fisher_equal or names:
         g = Graph(n, adj)
@@ -275,7 +260,7 @@ def _visit_bounds(n, adj, verdicts, events, weight):
 def survey_bounds(n: int, threads: int | None = None) -> dict:
     """Exhaustively check the closed-form growth-rate bounds; expect no violations."""
     _check_size(n)
-    events = _census(n, _visit_bounds, partial(_decide_bounds, n=n))
+    events = _census(graph_classes(n), _visit_bounds, partial(_decide_bounds, n=n))
     envelopes = [e[1] for e in events if e[0] == "envelope"]
     return {
         "n": n,
@@ -299,7 +284,7 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | No
     if not 1 <= n <= 6:
         raise ValueError("average supported for 1 <= n <= 6")
     lo = hi = Fraction(0)
-    for counts, graphs in _census(n, _visit_profile).items():
+    for counts, graphs in _census(graph_classes(n), _visit_profile).items():
         enc = _decide_beta(counts, width)
         lo += graphs * enc.lo
         hi += graphs * enc.hi
@@ -316,8 +301,6 @@ def _prepare_extremal_targets(n: int):
     targets = {}
     for k in range(n * (n - 1) // 2 + 1):
         pc_star = max_beta_pc(n, k)
-        enc_star = dominant_real_root(pc_star, Fraction(1, 10**12))
-        family = max_beta_equality_family(n, k)
         if 4 * k <= n * n:
             min_pred = QuadSurd.make(n, n * n - 4 * k, 2) if k else Fraction(n)
             conditional = None
@@ -325,19 +308,10 @@ def _prepare_extremal_targets(n: int):
             res = min_beta_graph(n, k)
             min_pred = res.predicted_beta
             conditional = res.conditional
-        if isinstance(min_pred, Fraction):
-            min_alg = AlgebraicReal.from_rational(min_pred)
-        else:
-            min_alg = min_pred.to_algebraic()
-        min_alg.refine(Fraction(1, 10**12))
         targets[k] = {
-            "star_poly": squarefree_part(pc_star),
-            "star_lo": enc_star.lo,
-            "star_hi": enc_star.hi,
-            "family": family,
-            "min_lo": min_alg.lo,
-            "min_hi": min_alg.hi,
-            "min_poly": min_alg.poly,
+            "max": _target(dominant_real_root(pc_star, _TARGET_WIDTH), pc_star),
+            "family": max_beta_equality_family(n, k),
+            "min": _target(min_pred),
             "conditional": conditional,
         }
     return targets
@@ -346,31 +320,24 @@ def _prepare_extremal_targets(n: int):
 def _decide_extremal(counts, targets) -> tuple[int, int]:
     """Exact signs of beta minus the maximum and minus the minimum at its k."""
     tgt = targets[_edges(counts)]
-    pc = pc_poly_from_counts(counts)
-    b = None
-    to_max = -1  # no root at or above star_lo: strictly below the maximum
-    if not descartes_no_root_above(pc, tgt["star_lo"]):
-        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
-        to_max = _compare_target(b, tgt["star_poly"], tgt["star_lo"], tgt["star_hi"])
+    root = _DominantRoot(pc_poly_from_counts(counts))
+    to_max = root.sign(tgt["max"], -1)
     if len(counts) <= 3:
         return to_max, 0  # triangle-free: the growth rate is the quadratic value exactly
-    if _sign_at(pc, tgt["min_hi"]) < 0:
-        return to_max, 1  # a root above min_hi: strictly above the minimum
-    if b is None:
-        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
-    return to_max, _compare_target(b, tgt["min_poly"], tgt["min_lo"], tgt["min_hi"])
+    return to_max, root.sign(tgt["min"], 1)
 
 
-def _visit_extremal(n, adj, verdicts, events, weight):
+def _visit_extremal(adj, verdict, events, weight):
+    n = len(adj)
     counts = tuple(clique_counts(adj, n))
     k = _edges(counts)
-    to_max, to_min = verdicts[counts]
+    to_max, to_min = verdict(counts)
     if to_max > 0:
-        events["max_violation", k, to_graph6(Graph(n, adj))] += weight
+        events["max_violation", k, _g6(adj)] += weight
     elif to_max == 0:
         events["max_equal", k, adj] += weight
     if to_min < 0:
-        events["min_violation", k, to_graph6(Graph(n, adj))] += weight
+        events["min_violation", k, _g6(adj)] += weight
     elif to_min == 0:
         # below the Mantel bound only triangle-free graphs may attain
         events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += weight
@@ -401,7 +368,8 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
     """
     _check_size(n)
     targets = _prepare_extremal_targets(n)
-    events = _census(n, _visit_extremal, partial(_decide_extremal, targets=targets))
+    events = _census(graph_classes(n), _visit_extremal,
+                     partial(_decide_extremal, targets=targets))
     max_equal: dict[int, dict] = {}
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
@@ -445,7 +413,8 @@ def _even_part_real_rooted(even_rev) -> bool:
     return count_nonreal_roots(even_rev) == 0
 
 
-def _visit_matching(n, adj, verdicts, events, weight):
+def _visit_matching(adj, verdict, events, weight):
+    n = len(adj)
     counts = matching_counts_from_adj(adj, n)
     nu = len(counts) - 1
     if nu == 0:
@@ -454,33 +423,23 @@ def _visit_matching(n, adj, verdicts, events, weight):
     # negative roots outright, so mu real-rooted iff g real-rooted
     even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
     if not _even_part_real_rooted(even_rev):
-        events["nonreal", to_graph6(Graph(n, adj))] += weight
+        events["nonreal", _g6(adj)] += weight
         return
     delta = max(row.bit_count() for row in adj)
-    k = counts[1]
-    ok = True
-    # largest root vs 4k/n - 1 and Delta: g(q) <= 0 certifies root >= q
-    if _sign_at(even_rev, Fraction(4 * k - n, n)) > 0:
-        ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-            Fraction(4 * k - n, n)
-        ) >= 0
-    if ok and delta > 1:
-        if _sign_at(even_rev, delta) > 0:
-            ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-                Fraction(delta)
-            ) >= 0
-        upper = 4 * (delta - 1)
-        if ok and not descartes_no_root_above(even_rev, Fraction(upper)):
-            ok &= AlgebraicReal.dominant_root(even_rev).compare_fraction(
-                Fraction(upper)
-            ) <= 0
+    # t^2, the largest root of g, is at least 4k/n - 1 and, for Delta > 1,
+    # between Delta and 4(Delta - 1)
+    t2 = _DominantRoot(even_rev)
+    ok = t2.sign(Fraction(4 * counts[1] - n, n), 1) >= 0 and (
+        delta <= 1
+        or t2.sign(Fraction(delta), 1) >= 0 and t2.sign(Fraction(4 * (delta - 1)), -1) <= 0
+    )
     if not ok:
-        events["bound", to_graph6(Graph(n, adj))] += weight
+        events["bound", _g6(adj)] += weight
 
 
 def census_matching_check(n: int, threads: int | None = None) -> dict:
     _check_size(n)
-    events = _census(n, _visit_matching)
+    events = _census(graph_classes(n), _visit_matching)
     return {
         "nonreal": [g6 for tag, g6 in events if tag == "nonreal"],
         "bound_violations": [g6 for tag, g6 in events if tag == "bound"],
@@ -491,26 +450,22 @@ def census_matching_check(n: int, threads: int | None = None) -> dict:
 # local-lemma threshold census
 
 
-def _decide_lll(key) -> bool:
+def _decide_lll(d, comp_counts) -> bool:
     """True when beta(complement) exceeds d^d/(d-1)^(d-1) for max degree d."""
-    d, comp_counts = key
-    pc = pc_poly_from_counts(comp_counts)
-    bound = Fraction(d**d, (d - 1) ** (d - 1))
     # threshold >= (d-1)^(d-1)/d^d  <=>  beta(complement) <= d^d/(d-1)^(d-1)
-    if descartes_no_root_above(pc, bound):
-        return False
-    return AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH).compare_fraction(bound) > 0
+    bound = Fraction(d**d, (d - 1) ** (d - 1))
+    return _DominantRoot(pc_poly_from_counts(comp_counts)).sign(bound, -1) > 0
 
 
-def _visit_lll(n, adj, verdicts, events, weight):
+def _visit_lll(adj, verdict, events, weight):
     d = max(row.bit_count() for row in adj)
-    if d >= 2 and verdicts[d, tuple(clique_counts(complement_adj(adj), n))]:
-        events[to_graph6(Graph(n, adj))] += weight
+    if d >= 2 and verdict(d, tuple(clique_counts(complement_adj(adj), len(adj)))):
+        events[_g6(adj)] += weight
 
 
 def census_lll_check(n: int, threads: int | None = None) -> list:
     _check_size(n)
-    return list(_census(n, _visit_lll, _decide_lll))
+    return list(_census(graph_classes(n), _visit_lll, _decide_lll))
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +502,19 @@ def _identities_hold(n: int, adj) -> bool:
     return trim(derivative(dg)) == trim(neg(total))
 
 
-def _visit_identities(n, adj, verdicts, events, weight):
-    if not _identities_hold(n, adj):
-        events[to_graph6(Graph(n, adj))] += weight
+def _visit_identities(adj, verdict, events, weight):
+    if not _identities_hold(len(adj), adj):
+        events[_g6(adj)] += weight
 
 
 def census_identity_check(n: int, threads: int | None = None) -> list:
     """Vertex-deletion, edge-deletion, and derivative identities, every graph."""
     _check_size(n)
-    return list(_census(n, _visit_identities))
+    return list(_census(graph_classes(n), _visit_identities))
 
 
-def _visit_monoid(n, adj, verdicts, events, weight, maxlen):
-    g = Graph(n, adj)
+def _visit_monoid(adj, verdict, events, weight, maxlen):
+    g = Graph(len(adj), adj)
     if m_sequence(g, maxlen) != normal_form_counts(g, maxlen=maxlen, mode="direct"):
         events[to_graph6(g)] += weight
 
@@ -567,12 +522,11 @@ def _visit_monoid(n, adj, verdicts, events, weight, maxlen):
 def census_monoid_check(n: int, maxlen: int = 8, threads: int | None = None) -> list:
     """Recurrence counts versus direct normal-form enumeration, every graph."""
     _check_size(n)
-    return list(_census(n, partial(_visit_monoid, maxlen=maxlen)))
+    return list(_census(graph_classes(n), partial(_visit_monoid, maxlen=maxlen)))
 
 
-def _decide_adjoint(key) -> bool:
+def _decide_adjoint(counts, adjoint) -> bool:
     """True when gamma, the largest root of the adjoint polynomial, exceeds t^2."""
-    counts, adjoint = key
     nu = len(counts) - 1
     even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
     t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
@@ -585,26 +539,37 @@ def _decide_adjoint(key) -> bool:
     return a.compare(AlgebraicReal.from_enclosure(even_rev, t2)) > 0
 
 
-def _visit_adjoint(n, adj, verdicts, events, weight):
-    g = Graph(n, adj)
-    partitions = clique_partition_counts(g)
-    hg = hat_graph(g) if g.edge_count else None
-    if not adjoint_identity_holds(g, partitions, hg):
-        events["identity", to_graph6(g)] += weight
+def _visit_hat(adj, verdict, events, weight):
+    """The adjoint checks that depend on the vertex order, on adjacency rows."""
+    hat = hat_rows(adj)
+    if not hat_identity_holds(adj, clique_partition_counts(adj), hat):
+        events["identity", _g6(adj)] += weight
         return
-    if hg is None:
-        return
-    lg = line_graph(g)
-    if any(hg.adj[i] & ~lg.adj[i] for i in range(hg.n)):
-        events["subgraph", to_graph6(g)] += weight
-    if verdicts[tuple(matching_counts_from_adj(adj, n)), adjoint_polynomial(g, partitions)]:
+    # the hat graph must lie inside L(G), which joins edges sharing an endpoint
+    edges = edge_list(adj)
+    at = [0] * len(adj)  # the edges at each vertex
+    for a, (i, j) in enumerate(edges):
+        at[i] |= 1 << a
+        at[j] |= 1 << a
+    if any(row & ~(at[i] | at[j]) for row, (i, j) in zip(hat, edges)):
+        events["subgraph", _g6(adj)] += weight
+
+
+def _visit_gamma(adj, verdict, events, weight):
+    g = Graph(len(adj), adj)
+    if g.edge_count and verdict(tuple(matching_counts(g)), adjoint_polynomial(g)):
         events["gamma", to_graph6(g)] += weight
 
 
 def census_adjoint_check(n: int, threads: int | None = None) -> dict:
-    """Partition-count identity, conflict-graph containment, gamma <= t^2."""
+    """Partition-count identity, conflict-graph containment, gamma <= t^2.
+
+    The first two depend on the vertex order and run on every labelled graph;
+    gamma <= t^2 is an invariant and runs once per class.
+    """
     _check_size(n)
-    events = _labelled_census(n, threads, _visit_adjoint, _decide_adjoint)
+    events = _census(_labelled_graphs(n), _visit_hat)
+    events += _census(graph_classes(n), _visit_gamma, _decide_adjoint)
     return {
         "identity": [g6 for tag, g6 in events if tag == "identity"],
         "gamma": [g6 for tag, g6 in events if tag == "gamma"],
@@ -619,45 +584,25 @@ def _prepare_planar_targets(n: int):
             res = planar_extremes(n, k)
         except ValueError:
             continue
-        lam = {}
-        for side, pred in (("minus", res.lambda_minus), ("plus", res.lambda_plus)):
-            if isinstance(pred, Fraction):
-                alg = AlgebraicReal.from_rational(pred)
-            elif isinstance(pred, QuadSurd):
-                alg = pred.to_algebraic()
-            else:
-                alg = AlgebraicReal.from_enclosure(apollonian_pc(n, k), pred)
-            alg.refine(Fraction(1, 10**12))
-            lam[side] = (alg.poly, alg.lo, alg.hi)
-        targets[k] = lam
+        # only an Apollonian maximum comes as an enclosure
+        pc = apollonian_pc(n, k)
+        targets[k] = {"minus": _target(res.lambda_minus, pc), "plus": _target(res.lambda_plus, pc)}
     return targets
 
 
 def _decide_planar(counts, targets) -> tuple[int, int]:
     """Exact signs of beta minus the planar minimum and minus the maximum at its k."""
     tgt = targets[_edges(counts)]
-    poly_m, lo_m, hi_m = tgt["minus"]
-    poly_p, lo_p, hi_p = tgt["plus"]
-    pc = pc_poly_from_counts(counts)
-    b = None
-    to_min = 1  # a negative value at hi certifies beta strictly above
-    if _sign_at(pc, hi_m) >= 0:
-        b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
-        to_min = _compare_target(b, poly_m, lo_m, hi_m)
-    to_max = -1  # no root at or above lo: strictly below the maximum
-    if not descartes_no_root_above(pc, lo_p):
-        if b is None:
-            b = AlgebraicReal.dominant_root(pc, _COMPARE_WIDTH)
-        to_max = _compare_target(b, poly_p, lo_p, hi_p)
-    return to_min, to_max
+    root = _DominantRoot(pc_poly_from_counts(counts))
+    return root.sign(tgt["minus"], 1), root.sign(tgt["plus"], -1)
 
 
-def _visit_planar(n, adj, verdicts, events, weight):
-    g = Graph(n, adj)
+def _visit_planar(adj, verdict, events, weight):
+    g = Graph(len(adj), adj)
     if not is_planar_small(g):
         return
     k = g.edge_count
-    to_min, to_max = verdicts[tuple(clique_counts(adj, n))]
+    to_min, to_max = verdict(tuple(clique_counts(adj, g.n)))
     if to_min < 0:
         events["violation", k, to_graph6(g), "below_min"] += weight
     if to_max > 0:
@@ -669,7 +614,7 @@ def census_planar_check(n: int, threads: int | None = None) -> dict:
     """Verify the planar extremes over the full planar census at tiny n."""
     _check_size(n)
     targets = _prepare_planar_targets(n)
-    events = _census(n, _visit_planar, partial(_decide_planar, targets=targets))
+    events = _census(graph_classes(n), _visit_planar, partial(_decide_planar, targets=targets))
     attained: dict = {}
     for (tag, k, equal_min, equal_max), count in events.items():
         if tag == "planar":
@@ -683,10 +628,10 @@ def census_planar_check(n: int, threads: int | None = None) -> dict:
     }
 
 
-def _visit_dump(n, adj, verdicts, events, weight):
-    g = Graph(n, adj)
-    counts = tuple(clique_counts(adj, n))
-    enc = verdicts[counts]
+def _visit_dump(adj, verdict, events, weight):
+    g = Graph(len(adj), adj)
+    counts = tuple(clique_counts(adj, g.n))
+    enc = verdict(counts)
     flags = []
     if len(counts) <= 3:
         flags.append("triangle-free")
@@ -694,27 +639,24 @@ def _visit_dump(n, adj, verdicts, events, weight):
         flags.append("threshold")
     if is_planar_small(g):
         flags.append("planar")
-    events[f"{n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += weight
+    events[f"{g.n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += weight
 
 
 def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
                      threads: int | None = None) -> str:
-    """Per-graph census rows: n, k, graph6, beta_lo, beta_hi, flags.
-
-    Mask-ordered, so the bytes are identical at any thread count.
-    """
+    """Per-graph census rows: n, k, graph6, beta_lo, beta_hi, flags, in edge-mask order."""
     if not 1 <= n <= 6:
         raise ValueError("per-graph dump supported for 1 <= n <= 6")
-    rows = _labelled_census(n, threads, _visit_dump, partial(_decide_beta, width=width))
+    rows = _census(_labelled_graphs(n), _visit_dump, partial(_decide_beta, width=width))
     return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(rows) + "\n"
 
 
-def _visit_decycling(n, adj, verdicts, events, weight):
-    g = Graph(n, adj)
+def _visit_decycling(adj, verdict, events, weight):
+    g = Graph(len(adj), adj)
     if abs(eval_at(independence_polynomial(g), -1)) > 2 ** decycling_number(g):
         events[to_graph6(g)] += weight
 
 
 def census_decycling_check(n: int, threads: int | None = None) -> list:
     _check_size(n)
-    return list(_census(n, _visit_decycling))
+    return list(_census(graph_classes(n), _visit_decycling))

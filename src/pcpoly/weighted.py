@@ -50,9 +50,6 @@ class FractionalPoly:
     L: int
     poly: tuple  # ascending Fractions in s
 
-    def eval_x(self, s_value: Fraction) -> Fraction:
-        return eval_at(self.poly, s_value)
-
 
 def weighted_dependence(gw: WeightedGraph) -> FractionalPoly:
     """Alternating clique sum with weights, as a polynomial in s = x^(1/L)."""

@@ -42,7 +42,7 @@ from pcpoly.survey import (
 )
 from pcpoly.weighted import lll_check, lll_threshold, matrix_to_weighted_graph, mcmullen_growth
 
-THREADS = None  # resolve via PCPOLY_THREADS / cpu count
+THREADS = None  # every census accepts a thread count and ignores it
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

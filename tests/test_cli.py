@@ -1,12 +1,16 @@
 """Command-line surface: verbs parse, outputs are machine-readable."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import pcpoly
 from pcpoly import cliquepoly, matching
 from pcpoly.cli import main
 from pcpoly.graphs import Graph, to_graph6
@@ -101,21 +105,11 @@ def test_transform_verb(capsys):
 
 
 def test_survey_verb(capsys):
-    code, payload = _run_json(capsys, "--threads", "2", "survey", "nonreal", "4")
+    code, payload = _run_json(capsys, "survey", "nonreal", "4")
     assert code == 0
     assert payload["polys_with_nonreal"] == 4
-    code, payload = _run_json(capsys, "--threads", "2", "survey", "bounds", "4")
+    code, payload = _run_json(capsys, "survey", "bounds", "4")
     assert code == 0 and payload["violations"] == []
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_survey_rejects_bad_thread_env(capsys, monkeypatch, value):
-    monkeypatch.setenv("PCPOLY_THREADS", value)
-    assert main(["survey", "nonreal", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and "PCPOLY_THREADS" in lines[0] and repr(value) in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -194,14 +188,24 @@ def test_matching_verb_keeps_line_graph_check(capsys, monkeypatch):
 
 
 def test_survey_dump(capsys):
-    code = main(["--threads", "2", "survey", "dump", "3"])
+    code = main(["survey", "dump", "3"])
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert lines[0] == "n,k,graph6,beta_lo,beta_hi,flags"
     assert len(lines) == 9
     assert lines[1].startswith("3,0,")
-    code2 = main(["--threads", "1", "survey", "dump", "3"])
-    assert capsys.readouterr().out == out  # byte-identical at any thread count
+    code2 = main(["survey", "dump", "3"])
+    assert capsys.readouterr().out == out  # byte-identical on every run
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # every census runs in process; importing multiprocessing would only add start-up time
+    src = os.path.dirname(os.path.dirname(pcpoly.__file__))
+    code = "import sys, pcpoly.cli, pcpoly.survey; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_spectral_verb(capsys):

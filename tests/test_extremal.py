@@ -22,6 +22,7 @@ from pcpoly.extremal import (
     planar_extremes,
 )
 from pcpoly.graphs import (
+    Graph,
     canonical_form,
     complement,
     edge_slots,
@@ -247,6 +248,20 @@ def test_planarity_small():
     # K5 with an extra vertex: still non-planar
     k5_plus = from_edges(6, [(a, b) for a in range(5) for b in range(a + 1, 5)])
     assert not is_planar_small(k5_plus)
+
+
+def test_planarity_small_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    # canonical_form relabels g, which keeps its planarity, so networkx runs once per class
+    planar = {}
+    for n in range(1, 7):
+        for g in iter_all_graphs(n):
+            rows, _ = canonical_form(g.adj)
+            if rows not in planar:
+                h = nx.Graph(Graph(n, rows).edges())
+                h.add_nodes_from(range(n))
+                planar[rows] = nx.check_planarity(h)[0]
+            assert is_planar_small(g) == planar[rows], g
 
 
 def test_nordhaus_gaddum():

@@ -23,7 +23,6 @@ from pcpoly.survey import (
     census_monoid_check,
     census_planar_check,
     graph_census_csv,
-    resolve_threads,
     survey_bounds,
     survey_nonreal,
 )
@@ -141,10 +140,6 @@ def _adjoint_key(g):
     return tuple(matching_counts(g)), adjoint_polynomial(g)
 
 
-# the censuses on the labelled driver, whose one thread runs four chunks, each with its memo
-LABELLED_JOBS = {"dump": 4, "adjoint": 4}
-
-
 @pytest.mark.parametrize("name", sorted({*KEYED_CENSUSES, "adjoint"}))
 def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     calls = Counter()
@@ -162,19 +157,19 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     else:
         key = _lll_key if name == "lll" else (lambda g: clique_profile(g).counts)
         keys = len({key(g) for g in iter_all_graphs(5)})
-    jobs = LABELLED_JOBS.get(name, 1)
     roots = 2 if name == "adjoint" else 1  # the adjoint verdict refines t^2 and gamma
     targets = 11 if name == "extremal" else 0  # one maximum per edge count 0..10
     assert calls
     for fn, count in calls.items():
-        assert count <= keys * jobs * roots + targets, (fn, count, keys)
+        assert count <= keys * roots + targets, (fn, count, keys)
 
 
 def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypatch):
     from pcpoly import matching
+    from pcpoly.graphs import graph_classes
 
     calls = Counter()
-    for fn in ("clique_partition_counts", "hat_graph"):
+    for fn in ("clique_partition_counts", "hat_rows"):
         original = getattr(matching, fn)
 
         def counted(*args, _fn=fn, _original=original):
@@ -185,8 +180,9 @@ def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypat
         monkeypatch.setattr(survey, fn, counted)
     res = census_adjoint_check(5, 1)
     assert res == {"identity": [], "gamma": [], "subgraph": []}
-    graphs = 1 << 10
-    assert calls == {"clique_partition_counts": graphs, "hat_graph": graphs - 1}
+    # the hat checks visit every labelled graph; the gamma check every class with an edge
+    graphs, classes = 1 << 10, len(graph_classes(5))
+    assert calls == {"clique_partition_counts": graphs + classes - 1, "hat_rows": graphs}
 
 
 def _labelled_graphs(n):
@@ -206,8 +202,10 @@ CLASS_CENSUSES = {
     "identity": census_identity_check,
     "monoid": lambda n: census_monoid_check(n, maxlen=4),
     "decycling": census_decycling_check,
+    "adjoint": census_adjoint_check,  # its gamma check; the hat checks are labelled anyway
 }
-SLOW_AT_6 = ("identity", "monoid", "decycling")  # n <= 5 only, to keep the labelled runs short
+# n <= 5 only, to keep the labelled runs short
+SLOW_AT_6 = ("identity", "monoid", "decycling", "adjoint")
 
 
 @pytest.mark.parametrize(
@@ -253,17 +251,6 @@ def test_average_beta():
         total_lo += enc.lo
         total_hi += enc.hi
     assert lo == total_lo / 8 and hi == total_hi / 8
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv("PCPOLY_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(5) == 5
-    monkeypatch.setenv("PCPOLY_THREADS", "abc")
-    with pytest.raises(ValueError, match="PCPOLY_THREADS"):
-        resolve_threads(None)
-    monkeypatch.delenv("PCPOLY_THREADS")
-    assert resolve_threads(None) >= 1
 
 
 def test_decycling_census_small():
