@@ -119,27 +119,6 @@ def primitive(p):
     return tuple(c * sign // g for c in p)
 
 
-def divmod_exact(p, q):
-    """Exact division over the rationals; raises if the remainder is nonzero."""
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while len(p) >= len(q) and any(p):
-        while p and p[-1] == 0:
-            p.pop()
-        if len(p) < len(q):
-            break
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[k + i] -= c * b
-        p.pop()
-    if any(p):
-        raise ArithmeticError("inexact polynomial division")
-    return trim(quot)
-
-
 def _div_exact_int(p, q):
     """p / q in Z[x]; raises ArithmeticError unless q divides p there.
 

@@ -44,7 +44,11 @@ class ExtremalResult:
 
 
 def _assert_is_beta(g: Graph, pred) -> None:
-    """Assert that the Fraction, QuadSurd or enclosure ``pred`` is beta(g)."""
+    """Assert that the Fraction or QuadSurd ``pred`` is beta(g), or that the enclosure holds it.
+
+    Containment lo <= beta <= hi is decided exactly; an overlap test against
+    an enclosure of beta would also pass a rational point next to beta.
+    """
     actual = beta_algebraic(g)
     if isinstance(pred, Fraction):
         assert actual.compare_fraction(pred) == 0, "predicted value is not beta"
@@ -52,11 +56,20 @@ def _assert_is_beta(g: Graph, pred) -> None:
         assert is_root_surd(pc_polynomial(g), pred), "predicted value is not a root"
         assert actual.compare(pred.to_algebraic()) == 0, "predicted value is not beta"
     else:
-        assert pred.lo <= actual.hi and actual.lo <= pred.hi, "predicted value is not beta"
+        assert actual.compare_fraction(pred.lo) >= 0, "predicted enclosure lies above beta"
+        assert actual.compare_fraction(pred.hi) <= 0, "predicted enclosure lies below beta"
 
 
 # ---------------------------------------------------------------------------
 # maximum
+
+
+def _split_edges(k: int) -> tuple[int, int]:
+    """(d, e) with k = C(d,2) + e and 0 <= e < d, for k >= 1."""
+    d = 2
+    while (d + 1) * d // 2 <= k:
+        d += 1
+    return d, k - d * (d - 1) // 2
 
 
 def max_beta_construction(n: int, k: int) -> Graph:
@@ -65,10 +78,7 @@ def max_beta_construction(n: int, k: int) -> Graph:
         raise ValueError("edge count out of range")
     if k == 0:
         return empty_graph(n)
-    d = 2
-    while (d + 1) * d // 2 <= k:
-        d += 1
-    e = k - d * (d - 1) // 2
+    d, e = _split_edges(k)
     edges = [(i, j) for i in range(d) for j in range(i + 1, d)]
     edges += [(i, d) for i in range(e)]
     return from_edges(n, edges)
@@ -78,10 +88,7 @@ def max_beta_pc(n: int, k: int) -> tuple:
     """Assembled recurrence polynomial of the maximizer, ascending integers."""
     if k == 0:
         return (-n, 1)
-    d = 2
-    while (d + 1) * d // 2 <= k:
-        d += 1
-    e = k - d * (d - 1) // 2
+    d, e = _split_edges(k)
     xm1 = (-1, 1)
     p = (1,)
     for _ in range(d):
@@ -116,10 +123,7 @@ def max_beta_equality_family(n: int, k: int) -> set[tuple[int, ...]]:
     """
     if k == 0:
         return {empty_graph(n).adj}
-    d = 2
-    while (d + 1) * d // 2 <= k:
-        d += 1
-    e = k - d * (d - 1) // 2
+    d, e = _split_edges(k)
     out: set[tuple[int, ...]] = set()
     for clique in combinations(range(n), d):
         base = [(a, b) for a, b in combinations(clique, 2)]

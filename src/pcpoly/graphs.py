@@ -246,24 +246,24 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+# the graph6 character of six stream bits held first bit lowest
+_G6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
+
+
 def to_graph6(g: Graph) -> str:
-    n = g.n
+    n, adj = g.n, g.adj
     if n <= 62:
         prefix = chr(n + 63)
     else:
         prefix = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    stream = []
+    # the pairs i < j in column order; bit j(j-1)/2 + i of the stream is pair (i, j)
+    stream = 0
     for j in range(1, n):
-        for i in range(j):
-            stream.append(1 if g.has_edge(i, j) else 0)
-    while len(stream) % 6:
-        stream.append(0)
+        stream |= (adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
     chars = []
-    for k in range(0, len(stream), 6):
-        val = 0
-        for bit in stream[k:k + 6]:
-            val = (val << 1) | bit
-        chars.append(chr(val + 63))
+    for _ in range((n * (n - 1) // 2 + 5) // 6):
+        chars.append(_G6_CHARS[stream & 63])
+        stream >>= 6
     return prefix + "".join(chars)
 
 

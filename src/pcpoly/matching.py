@@ -121,19 +121,11 @@ def matching_polynomials(g: Graph) -> MatchingPair:
     return _matching_and_t(g)[0]
 
 
-def matching_even_part(pair: MatchingPair) -> tuple:
-    """g with mu(x) = x^(n mod 2) g(x^2); real-rootedness of mu reduces to g."""
-    mu = pair.mu
-    n = len(mu) - 1
-    parity = n % 2
-    return trim(mu[parity::2])
-
-
 def t_largest(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
     """Largest root of the signed matching polynomial.
 
     Its square is the growth rate of the complement of the line graph, which
-    is asserted by enclosure overlap.
+    is asserted by exact containment.
     """
     if g.edge_count == 0:
         raise ValueError("needs at least one edge")
@@ -141,12 +133,15 @@ def t_largest(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
 
 
 def t_squared_algebraic(g: Graph) -> AlgebraicReal:
-    """t(G)^2 exactly, as the dominant root of the even part."""
-    pair = matching_polynomials(g)
-    even = matching_even_part(pair)
-    # even part has sign (-1)^nu leading; dominant root of mu squared is its
-    # largest root
-    return AlgebraicReal.dominant_root(even)
+    """t(G)^2 exactly, the largest root of the recurrence polynomial of the matching counts.
+
+    That polynomial g has mu(x) = x^sigma g(x^2); it is the recurrence
+    polynomial of co-L(G), so t^2 is the growth rate of co-L(G).  An
+    edgeless graph has mu = x^n and t = 0.
+    """
+    if g.edge_count == 0:
+        return AlgebraicReal.from_rational(0)
+    return AlgebraicReal.dominant_root(pc_poly_from_counts(matching_polynomials(g).generating))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .exactpoly import (
     RatInterval,
     RootEnclosure,
     _bisect,
+    _div_exact_int,
     _sign_at,
     add,
     clear_denominators,
@@ -28,6 +29,7 @@ from .exactpoly import (
     eval_at,
     isolate_real_roots,
     mul,
+    primitive,
     scale,
     sub,
     trim,
@@ -140,9 +142,10 @@ def random_root_ladder(n: int, p, r: int, width: Fraction = DEFAULT_WIDTH) -> Ro
     # descending-order interlacing: beta_{i+1} < p * beta_i
     for low, high in zip(roots, roots[1:]):
         scaled_hi = p * high.hi
-        assert low.hi < scaled_hi or AlgebraicReal.from_enclosure(
-            ipoly, low
-        ).compare_fraction(p * high.lo) < 0, "domination chain violated"
+        # the roots are simple, so ipoly is squarefree and isolates each of them
+        assert low.hi < scaled_hi or AlgebraicReal(ipoly, low.lo, low.hi).compare_fraction(
+            p * high.lo
+        ) < 0, "domination chain violated"
     # inversion symmetry: x^n PC(p^(n-1)/x) = (-1)^n p^C(n,2) PC(x)
     shift = p ** (n - 1)
     lhs = tuple(
@@ -349,11 +352,13 @@ def f_n_polynomial(n: int) -> tuple:
 
 
 def f_n_divisible_by(n: int, divisor: tuple) -> bool:
-    """Exact divisibility test of f_n by the given integer polynomial."""
-    from .exactpoly import divmod_exact
+    """Exact divisibility test of f_n by the given integer polynomial.
 
+    By Gauss's lemma a primitive divisor of the integer f_n over Q divides it
+    in Z[x], so exact integer division decides it.
+    """
     try:
-        divmod_exact(f_n_polynomial(n), divisor)
+        _div_exact_int(f_n_polynomial(n), primitive(trim(divisor)))
         return True
     except ArithmeticError:
         return False

@@ -8,8 +8,10 @@ pairs that hands each to the census's ``visit(adj, verdict, events, weight)``:
   the exact algebra (Sturm counts, root refinement, certified comparison)
   runs once per invariant key.  The growth rate and every root fact the
   censuses check depend only on the clique profile (c_0..c_omega); for the
-  local-lemma census on (max degree, clique counts of the complement), and
-  for the adjoint census on (matching counts, adjoint polynomial).
+  local-lemma census on (max degree, clique counts of the complement), for
+  the matching census on (matching counts, max degree), and for the adjoint
+  census on (matching counts, adjoint polynomial).  Every growth-rate
+  verdict is an exact sign from :class:`_DominantRoot`.
 * ``events`` is a ``Counter`` to which the visit adds ``weight`` per
   hashable event: a violator's graph6, an equality, a CSV row.  The
   non-real and average censuses only count the profile and decide once per
@@ -27,8 +29,8 @@ row per labelled graph, and ``census_adjoint_check`` checks the hat graph,
 which depends on the vertex order, while its gamma <= t^2 check runs on the
 classes.
 
-Every census accepts a ``threads`` argument and ignores it; it is kept for
-callers written when the labelled censuses ran on a process pool.
+``survey_nonreal`` and ``census_extremal_check`` accept a ``threads``
+argument and ignore it: the benchmark harness passes it positionally.
 """
 
 from __future__ import annotations
@@ -160,14 +162,15 @@ class _DominantRoot:
 def _target(pred, poly=None) -> AlgebraicReal:
     """A predicted growth rate, refined to ``_TARGET_WIDTH``.
 
-    ``pred`` is a Fraction, a QuadSurd, or an enclosure of a root of ``poly``.
+    ``pred`` is a Fraction, a QuadSurd, or an enclosure of the largest root
+    of ``poly``, which is then isolated from ``poly`` itself.
     """
     if isinstance(pred, Fraction):
         alg = AlgebraicReal.from_rational(pred)
     elif isinstance(pred, QuadSurd):
         alg = pred.to_algebraic()
     else:
-        alg = AlgebraicReal.from_enclosure(poly, pred)
+        return AlgebraicReal.dominant_root(poly, _TARGET_WIDTH)
     alg.refine(_TARGET_WIDTH)
     return alg
 
@@ -221,8 +224,9 @@ def _decide_bounds(counts, n: int):
     omega = len(counts) - 1
     k = _edges(counts)
     pc = pc_poly_from_counts(counts)
-    enc = dominant_real_root(pc, Fraction(1, 10**9))
-    b = AlgebraicReal.from_enclosure(pc, enc)
+    b = AlgebraicReal.dominant_root(pc, Fraction(1, 10**9))
+    # edge density envelope e(G) = (n - beta)/k, read before the comparisons narrow b
+    envelope = ((n - b.hi) / k, (n - b.lo) / k) if k else None
     names = []
     cmp_fisher = b.compare_fraction(Fraction(n * n - 2 * k, n))
     if cmp_fisher < 0:
@@ -234,12 +238,8 @@ def _decide_bounds(counts, n: int):
     if k and count_nonreal_roots(pc) == 0:
         if b.compare_fraction(Fraction(n * n - k, n)) > 0:
             names.append("samuelson_upper")
-    envelope = None
-    # edge density envelope e(G) = (n - beta)/k
-    if k:
-        envelope = ((n - enc.hi) / k, (n - enc.lo) / k)
-        if envelope[0] > Fraction(2, n):
-            names.append("edge_density_upper")
+    if envelope and envelope[0] > Fraction(2, n):
+        names.append("edge_density_upper")
     return cmp_fisher == 0 and k > 0, tuple(names), envelope
 
 
@@ -257,7 +257,7 @@ def _visit_bounds(adj, verdict, events, weight):
             events["violation", g6, name] += weight
 
 
-def survey_bounds(n: int, threads: int | None = None) -> dict:
+def survey_bounds(n: int) -> dict:
     """Exhaustively check the closed-form growth-rate bounds; expect no violations."""
     _check_size(n)
     events = _census(graph_classes(n), _visit_bounds, partial(_decide_bounds, n=n))
@@ -279,7 +279,7 @@ def _decide_beta(counts, width):
     return dominant_real_root(pc_poly_from_counts(counts), width)
 
 
-def average_beta(n: int, width: Fraction = Fraction(1, 10**9), threads: int | None = None):
+def average_beta(n: int, width: Fraction = Fraction(1, 10**9)):
     """Interval for the mean growth rate over all labelled graphs on n vertices."""
     if not 1 <= n <= 6:
         raise ValueError("average supported for 1 <= n <= 6")
@@ -309,7 +309,7 @@ def _prepare_extremal_targets(n: int):
             min_pred = res.predicted_beta
             conditional = res.conditional
         targets[k] = {
-            "max": _target(dominant_real_root(pc_star, _TARGET_WIDTH), pc_star),
+            "max": AlgebraicReal.dominant_root(pc_star, _TARGET_WIDTH),
             "family": max_beta_equality_family(n, k),
             "min": _target(min_pred),
             "conditional": conditional,
@@ -398,48 +398,36 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
 # matching census (real-rootedness and degree bounds)
 
 
-def _even_part_real_rooted(even_rev) -> bool:
-    """Real-rootedness of the monic degree <= 3 even part, by discriminant."""
-    nu = len(even_rev) - 1
-    if nu <= 1:
-        return True
-    if nu == 2:
-        c, b, _ = even_rev
-        return b * b - 4 * c >= 0
-    if nu == 3:
-        d, c, b, _ = even_rev
-        disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-        return disc >= 0
-    return count_nonreal_roots(even_rev) == 0
+def _decide_matching(counts, delta, n: int):
+    """The failed check for matching counts at max degree Delta, or None.
 
-
-def _visit_matching(adj, verdict, events, weight):
-    n = len(adj)
-    counts = matching_counts_from_adj(adj, n)
-    nu = len(counts) - 1
-    if nu == 0:
-        return
-    # mu = x^sigma g(x^2); the alternating coefficients of g rule out
-    # negative roots outright, so mu real-rooted iff g real-rooted
-    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
-    if not _even_part_real_rooted(even_rev):
-        events["nonreal", _g6(adj)] += weight
-        return
-    delta = max(row.bit_count() for row in adj)
-    # t^2, the largest root of g, is at least 4k/n - 1 and, for Delta > 1,
-    # between Delta and 4(Delta - 1)
-    t2 = _DominantRoot(even_rev)
+    The signed matching polynomial is mu = x^sigma g(x^2) with g the
+    recurrence polynomial of the counts, whose alternating coefficients rule
+    out negative roots, so mu is real-rooted iff g is.  t^2, the largest root
+    of g, is at least 4k/n - 1 and, for Delta > 1, between Delta and 4(Delta - 1).
+    """
+    g = pc_poly_from_counts(counts)
+    if count_nonreal_roots(g):
+        return "nonreal"
+    t2 = _DominantRoot(g)
     ok = t2.sign(Fraction(4 * counts[1] - n, n), 1) >= 0 and (
         delta <= 1
         or t2.sign(Fraction(delta), 1) >= 0 and t2.sign(Fraction(4 * (delta - 1)), -1) <= 0
     )
-    if not ok:
-        events["bound", _g6(adj)] += weight
+    return None if ok else "bound"
 
 
-def census_matching_check(n: int, threads: int | None = None) -> dict:
+def _visit_matching(adj, verdict, events, weight):
+    counts = tuple(matching_counts_from_adj(adj, len(adj)))
+    if len(counts) > 1:
+        failed = verdict(counts, max(row.bit_count() for row in adj))
+        if failed:
+            events[failed, _g6(adj)] += weight
+
+
+def census_matching_check(n: int) -> dict:
     _check_size(n)
-    events = _census(graph_classes(n), _visit_matching)
+    events = _census(graph_classes(n), _visit_matching, partial(_decide_matching, n=n))
     return {
         "nonreal": [g6 for tag, g6 in events if tag == "nonreal"],
         "bound_violations": [g6 for tag, g6 in events if tag == "bound"],
@@ -463,7 +451,7 @@ def _visit_lll(adj, verdict, events, weight):
         events[_g6(adj)] += weight
 
 
-def census_lll_check(n: int, threads: int | None = None) -> list:
+def census_lll_check(n: int) -> list:
     _check_size(n)
     return list(_census(graph_classes(n), _visit_lll, _decide_lll))
 
@@ -507,7 +495,7 @@ def _visit_identities(adj, verdict, events, weight):
         events[_g6(adj)] += weight
 
 
-def census_identity_check(n: int, threads: int | None = None) -> list:
+def census_identity_check(n: int) -> list:
     """Vertex-deletion, edge-deletion, and derivative identities, every graph."""
     _check_size(n)
     return list(_census(graph_classes(n), _visit_identities))
@@ -519,7 +507,7 @@ def _visit_monoid(adj, verdict, events, weight, maxlen):
         events[to_graph6(g)] += weight
 
 
-def census_monoid_check(n: int, maxlen: int = 8, threads: int | None = None) -> list:
+def census_monoid_check(n: int, maxlen: int = 8) -> list:
     """Recurrence counts versus direct normal-form enumeration, every graph."""
     _check_size(n)
     return list(_census(graph_classes(n), partial(_visit_monoid, maxlen=maxlen)))
@@ -527,16 +515,8 @@ def census_monoid_check(n: int, maxlen: int = 8, threads: int | None = None) -> 
 
 def _decide_adjoint(counts, adjoint) -> bool:
     """True when gamma, the largest root of the adjoint polynomial, exceeds t^2."""
-    nu = len(counts) - 1
-    even_rev = tuple((-1) ** (nu - j) * counts[nu - j] for j in range(nu + 1))
-    t2 = dominant_real_root(even_rev, Fraction(1, 2**22))
-    gamma = dominant_real_root(adjoint, Fraction(1, 2**22))
-    if gamma.hi < t2.lo:
-        return False
-    if gamma.lo > t2.hi:
-        return True
-    a = AlgebraicReal.from_enclosure(adjoint, gamma)
-    return a.compare(AlgebraicReal.from_enclosure(even_rev, t2)) > 0
+    t2 = AlgebraicReal.dominant_root(pc_poly_from_counts(counts), _COMPARE_WIDTH)
+    return _DominantRoot(adjoint).sign(t2, -1) > 0
 
 
 def _visit_hat(adj, verdict, events, weight):
@@ -561,7 +541,7 @@ def _visit_gamma(adj, verdict, events, weight):
         events["gamma", to_graph6(g)] += weight
 
 
-def census_adjoint_check(n: int, threads: int | None = None) -> dict:
+def census_adjoint_check(n: int) -> dict:
     """Partition-count identity, conflict-graph containment, gamma <= t^2.
 
     The first two depend on the vertex order and run on every labelled graph;
@@ -610,7 +590,7 @@ def _visit_planar(adj, verdict, events, weight):
     events["planar", k, to_min == 0, to_max == 0] += weight
 
 
-def census_planar_check(n: int, threads: int | None = None) -> dict:
+def census_planar_check(n: int) -> dict:
     """Verify the planar extremes over the full planar census at tiny n."""
     _check_size(n)
     targets = _prepare_planar_targets(n)
@@ -642,8 +622,7 @@ def _visit_dump(adj, verdict, events, weight):
     events[f"{g.n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += weight
 
 
-def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9),
-                     threads: int | None = None) -> str:
+def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9)) -> str:
     """Per-graph census rows: n, k, graph6, beta_lo, beta_hi, flags, in edge-mask order."""
     if not 1 <= n <= 6:
         raise ValueError("per-graph dump supported for 1 <= n <= 6")
@@ -657,6 +636,6 @@ def _visit_decycling(adj, verdict, events, weight):
         events[to_graph6(g)] += weight
 
 
-def census_decycling_check(n: int, threads: int | None = None) -> list:
+def census_decycling_check(n: int) -> list:
     _check_size(n)
     return list(_census(graph_classes(n), _visit_decycling))

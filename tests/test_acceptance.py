@@ -42,9 +42,6 @@ from pcpoly.survey import (
 )
 from pcpoly.weighted import lll_check, lll_threshold, matrix_to_weighted_graph, mcmullen_growth
 
-THREADS = None  # every census accepts a thread count and ignores it
-
-
 def _report(num: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
     return ok
@@ -61,7 +58,7 @@ def test_criterion_01_nonreal_census():
     ok = True
     details = []
     for n, (total, polys, roots, nonreal) in expected.items():
-        row = survey_nonreal(n, THREADS)
+        row = survey_nonreal(n)
         rows[n] = row
         good = (
             row.graphs_total == total
@@ -82,7 +79,7 @@ def test_criterion_01_nonreal_census():
 def test_criterion_02_recurrence_equals_enumeration():
     bad = []
     for n in range(1, 6):
-        bad += census_monoid_check(n, 8, THREADS)
+        bad += census_monoid_check(n, 8)
     ok = _report(2, not bad, f"recurrence == direct count, n <= 5, len <= 8; {len(bad)} mismatches")
     assert ok
 
@@ -122,7 +119,7 @@ def test_criterion_04_identity_suite():
 
     bad = []
     for n in range(1, 7):
-        bad += census_identity_check(n, THREADS)
+        bad += census_identity_check(n)
     rng = random.Random(404)
     slots_cache = {}
     pair_fail = 0
@@ -161,7 +158,7 @@ _EXTREMAL_RESULTS = {}
 
 def _extremal(n):
     if n not in _EXTREMAL_RESULTS:
-        _EXTREMAL_RESULTS[n] = census_extremal_check(n, THREADS)
+        _EXTREMAL_RESULTS[n] = census_extremal_check(n)
     return _EXTREMAL_RESULTS[n]
 
 
@@ -278,7 +275,7 @@ def test_criterion_10_weighted_correspondence():
 def test_criterion_11_lll():
     ok = True
     for n in range(2, 8):
-        bad = census_lll_check(n, THREADS)
+        bad = census_lll_check(n)
         ok &= not bad
     # threshold consistency spot checks
     rng = random.Random(1111)
@@ -313,9 +310,9 @@ def test_criterion_12_matching_adjoint():
 
     ok = True
     for n in range(2, 7):
-        res = census_matching_check(n, THREADS)
+        res = census_matching_check(n)
         ok &= not res["nonreal"] and not res["bound_violations"]
-    res7 = census_matching_check(7, THREADS)
+    res7 = census_matching_check(7)
     ok &= not res7["nonreal"] and not res7["bound_violations"]
     # classical family identities, n <= 6, exact coefficients
     families = True
@@ -335,7 +332,7 @@ def test_criterion_12_matching_adjoint():
     ok &= families
     adjoint_ok = True
     for n in range(1, 7):
-        res = census_adjoint_check(n, THREADS)
+        res = census_adjoint_check(n)
         adjoint_ok &= not res["identity"] and not res["gamma"] and not res["subgraph"]
     ok &= adjoint_ok
     ok = _report(
@@ -352,7 +349,7 @@ def test_criterion_13_planar_extremes():
     ok = True
     details = []
     for n in range(1, 7):
-        res = census_planar_check(n, THREADS)
+        res = census_planar_check(n)
         ok &= not res["violations"]
         for k in res["ks"]:
             lo_att, hi_att = res["attained"].get(k, (0, 0))
@@ -365,7 +362,7 @@ def test_criterion_13_planar_extremes():
 def test_criterion_14_decycling_bound():
     ok = True
     for n in range(1, 8):
-        bad = census_decycling_check(n, THREADS)
+        bad = census_decycling_check(n)
         ok &= not bad
     ok = _report(14, ok, "alternating independent-set count bounded by 2^decycling, n <= 7")
     assert ok

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from pcpoly.cliquepoly import beta_algebraic, clique_profile, pc_polynomial
-from pcpoly.exactpoly import AlgebraicReal, QuadSurd, is_root_surd
+from pcpoly.exactpoly import AlgebraicReal, QuadSurd, RootEnclosure, is_root_surd
 from pcpoly.extremal import (
+    _assert_is_beta,
     apollonian_graph,
     apollonian_pc,
     beta_bounds,
@@ -84,6 +85,17 @@ def test_max_matches_census_n5():
         best = _census_extreme(5, k, want_max=True)
         pred = beta_algebraic(res.graph)
         assert pred.compare(best) == 0
+
+
+def test_enclosure_prediction_must_contain_beta():
+    g = max_beta_construction(5, 4)
+    a = beta_algebraic(g)
+    assert not a.is_rational()
+    _assert_is_beta(g, RootEnclosure(a.lo, a.hi))
+    # each end point overlaps beta's enclosure, and neither is beta
+    for point in (a.lo, a.hi):
+        with pytest.raises(AssertionError, match="predicted enclosure"):
+            _assert_is_beta(g, RootEnclosure(point, point))
 
 
 def test_max_equality_family_is_closed_under_relabelling():

@@ -10,6 +10,7 @@ import pytest
 from pcpoly import survey
 from pcpoly.graphs import adj_from_edge_mask, complement, edge_slots, iter_all_graphs
 from pcpoly.cliquepoly import clique_profile
+from pcpoly.exactpoly import AlgebraicReal
 from pcpoly.matching import adjoint_polynomial, matching_counts
 from pcpoly.survey import (
     average_beta,
@@ -27,24 +28,17 @@ from pcpoly.survey import (
     survey_nonreal,
 )
 
-# every census that decides once per invariant key, run at n=5 with the thread count
+# every census that decides once per invariant key, run at n=5
 KEYED_CENSUSES = {
-    "nonreal": lambda threads: survey_nonreal(5, threads),
-    "bounds": lambda threads: survey_bounds(5, threads),
-    "average": lambda threads: average_beta(5, threads=threads),
-    "dump": lambda threads: graph_census_csv(5, threads=threads),
-    "extremal": lambda threads: census_extremal_check(5, threads),
-    "planar": lambda threads: census_planar_check(5, threads),
-    "lll": lambda threads: census_lll_check(5, threads),
-}
-
-# the censuses that check every graph itself, small enough to run thrice
-PER_GRAPH_CENSUSES = {
-    "matching": lambda threads: census_matching_check(5, threads),
-    "identity": lambda threads: census_identity_check(5, threads),
-    "monoid": lambda threads: census_monoid_check(5, maxlen=4, threads=threads),
-    "adjoint": lambda threads: census_adjoint_check(5, threads),
-    "decycling": lambda threads: census_decycling_check(5, threads),
+    "nonreal": lambda: survey_nonreal(5),
+    "bounds": lambda: survey_bounds(5),
+    "average": lambda: average_beta(5),
+    "dump": lambda: graph_census_csv(5),
+    "extremal": lambda: census_extremal_check(5),
+    "planar": lambda: census_planar_check(5),
+    "lll": lambda: census_lll_check(5),
+    "matching": lambda: census_matching_check(5),
+    "adjoint": lambda: census_adjoint_check(5),
 }
 
 SIZED_CENSUSES = (
@@ -86,9 +80,9 @@ def test_threads_do_not_change_output():
     rows = [survey_nonreal(4, threads) for threads in (1, 2, 3)]
     assert all(r == rows[0] for r in rows)
     assert len({census_csv([r]) for r in rows}) == 1
-    for name, census in {**KEYED_CENSUSES, **PER_GRAPH_CENSUSES}.items():
-        results = [census(threads) for threads in (1, 2, 3)]
-        assert results[1] == results[0] and results[2] == results[0], name
+    for census in (survey_nonreal, census_extremal_check):
+        results = [census(5, threads) for threads in (1, 2, 3)]
+        assert results[1] == results[0] and results[2] == results[0], census.__name__
 
 
 @pytest.mark.parametrize("n", (0, 8))
@@ -102,15 +96,15 @@ def test_census_size_out_of_range_fails_fast(census, n):
 
 def test_keyed_census_outputs_pinned():
     # values of the per-graph implementation these censuses replaced
-    text = graph_census_csv(5, threads=1)
+    text = graph_census_csv(5)
     assert len(text.encode()) == 59667
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a23d6bb06631e53153dc29f99bec8bf7482329623c990bd5c305b678c4c16762"
     )
-    assert average_beta(5, threads=1) == (
+    assert average_beta(5) == (
         F(32133909114405, 8796093022208), F(32133909119367, 8796093022208)
     )
-    res = survey_bounds(5, 1)
+    res = survey_bounds(5)
     assert res["violations"] == []
     assert res["density_envelope"] == (F(896411867, 4294967296), F(2, 5))
 
@@ -136,32 +130,46 @@ def _lll_key(g):
     return g.max_degree(), clique_profile(complement(g)).counts
 
 
+def _matching_key(g):
+    return tuple(matching_counts(g)), g.max_degree()
+
+
 def _adjoint_key(g):
     return tuple(matching_counts(g)), adjoint_polynomial(g)
 
 
-@pytest.mark.parametrize("name", sorted({*KEYED_CENSUSES, "adjoint"}))
+@pytest.mark.parametrize("name", sorted(KEYED_CENSUSES))
 def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     calls = Counter()
+
+    def count(fn, original):
+        def counted(*args):
+            calls[fn] += 1
+            return original(*args)
+
+        return counted
+
+    # the targets per edge count are prepared before anything is counted
+    for prepare in ("_prepare_extremal_targets", "_prepare_planar_targets"):
+        targets = getattr(survey, prepare)(5)
+        monkeypatch.setattr(survey, prepare, lambda n, _targets=targets: _targets)
     for fn in ("count_nonreal_roots", "dominant_real_root", "descartes_no_root_above"):
-        original = getattr(survey, fn)
-
-        def counted(*args, _fn=fn, _original=original):
-            calls[_fn] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(survey, fn, counted)
-    {**KEYED_CENSUSES, **PER_GRAPH_CENSUSES}[name](1)
-    if name == "adjoint":
-        keys = len({_adjoint_key(g) for g in iter_all_graphs(5) if g.edge_count})
+        monkeypatch.setattr(survey, fn, count(fn, getattr(survey, fn)))
+    monkeypatch.setattr(
+        AlgebraicReal, "dominant_root",
+        staticmethod(count("dominant_root", AlgebraicReal.dominant_root)),
+    )
+    KEYED_CENSUSES[name]()
+    if name in ("matching", "adjoint"):
+        key = _matching_key if name == "matching" else _adjoint_key
+        keys = len({key(g) for g in iter_all_graphs(5) if g.edge_count})
     else:
         key = _lll_key if name == "lll" else (lambda g: clique_profile(g).counts)
         keys = len({key(g) for g in iter_all_graphs(5)})
-    roots = 2 if name == "adjoint" else 1  # the adjoint verdict refines t^2 and gamma
-    targets = 11 if name == "extremal" else 0  # one maximum per edge count 0..10
+    roots = 2 if name == "adjoint" else 1  # the adjoint verdict isolates t^2 and gamma
     assert calls
-    for fn, count in calls.items():
-        assert count <= keys * roots + targets, (fn, count, keys)
+    for fn, n_calls in calls.items():
+        assert n_calls <= keys * roots, (fn, n_calls, keys)
 
 
 def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypatch):
@@ -178,7 +186,7 @@ def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypat
 
         monkeypatch.setattr(matching, fn, counted)
         monkeypatch.setattr(survey, fn, counted)
-    res = census_adjoint_check(5, 1)
+    res = census_adjoint_check(5)
     assert res == {"identity": [], "gamma": [], "subgraph": []}
     # the hat checks visit every labelled graph; the gamma check every class with an edge
     graphs, classes = 1 << 10, len(graph_classes(5))
@@ -231,16 +239,16 @@ def test_census_csv_format():
 
 def test_survey_bounds_no_violations():
     for n in (3, 4, 5):
-        res = survey_bounds(n, 2)
+        res = survey_bounds(n)
         assert res["violations"] == []
         lo, hi = res["density_envelope"]
         assert lo > 0 and hi <= F(2, n)
 
 
 def test_average_beta():
-    lo, hi = average_beta(2, F(1, 10**9), 1)
+    lo, hi = average_beta(2, F(1, 10**9))
     assert lo == hi == F(3, 2)
-    lo, hi = average_beta(3, F(1, 10**9), 2)
+    lo, hi = average_beta(3, F(1, 10**9))
     # 8 graphs: empty 3; three 1-edge ((3+sqrt5)/2); three paths 2+...;
     # triangle 1; check against a direct interval sum
     from pcpoly.cliquepoly import beta
@@ -254,13 +262,13 @@ def test_average_beta():
 
 
 def test_decycling_census_small():
-    assert census_decycling_check(4, 2) == []
+    assert census_decycling_check(4) == []
 
 
 def test_lll_census_small():
-    assert census_lll_check(4, 2) == []
+    assert census_lll_check(4) == []
 
 
 def test_matching_census_small():
-    res = census_matching_check(5, 2)
+    res = census_matching_check(5)
     assert res["nonreal"] == [] and res["bound_violations"] == []
