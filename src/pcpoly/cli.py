@@ -147,7 +147,7 @@ def _parser() -> argparse.ArgumentParser:
     add_graph_arg(p)
 
     p = sub.add_parser("survey", help="exhaustive censuses")
-    p.add_argument("what", choices=("nonreal", "bounds", "average", "dump"))
+    p.add_argument("what", choices=("nonreal", "bounds", "extremal", "average", "dump"))
     p.add_argument("n", type=int)
 
     p = sub.add_parser("spectral", help="adjacency spectral radius")
@@ -315,6 +315,13 @@ def _run(args) -> int:
                 fmt,
             )
             if res["violations"]:
+                exit_code = 1
+        elif args.what == "extremal":
+            res = survey_mod.census_extremal_check(args.n)
+            _emit({key: res[key] for key in ("n", "max_violations", "min_violations",
+                                              "max_family_exact", "conditional_ks")}, fmt)
+            if (res["max_violations"] or res["min_violations"]
+                    or not all(res["max_family_exact"].values())):
                 exit_code = 1
         elif args.what == "dump":
             print(survey_mod.graph_census_csv(args.n, args.width), end="")

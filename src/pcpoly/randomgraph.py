@@ -20,12 +20,12 @@ from .exactpoly import (
     RatInterval,
     RootEnclosure,
     _bisect,
+    _dominant_root_and_factor,
     _div_exact_int,
     _sign_at,
     add,
     clear_denominators,
     count_nonreal_roots,
-    dominant_real_root,
     eval_at,
     isolate_real_roots,
     mul,
@@ -101,21 +101,26 @@ def beta_random(n: int, p, width: Fraction = DEFAULT_WIDTH):
     """(enclosure of the dominant root, closed-form interval or None).
 
     For n <= 5 the printed radical expression is evaluated with certified
-    interval arithmetic and must agree with the isolated root within width.
+    interval arithmetic, and its interval must contain the dominant root.
     """
     rpc = pc_random(n, p)
     p = rpc.p
     if p == 0:
         enc = RootEnclosure(Fraction(n), Fraction(n), 1)
+        root = AlgebraicReal.from_rational(n)
     elif p == 1:
         enc = RootEnclosure(Fraction(1), Fraction(1), n)
+        root = AlgebraicReal.from_rational(1)
     else:
-        enc = dominant_real_root(rpc.poly, width)
+        enc, factor = _dominant_root_and_factor(rpc.poly, width)
+        root = AlgebraicReal(factor, enc.lo, enc.hi)
     closed = None
     if n <= 5:
         closed = _closed_form_interval(n, p, min(width / 8, Fraction(1, 10**16)))
-        assert closed.lo <= enc.hi + width and enc.lo - width <= closed.hi, (
-            "closed form drifted from the isolated dominant root"
+        if closed.width:  # refine(0) never stops on an irrational root; compare is exact anyway
+            root.refine(closed.width)
+        assert root.compare_fraction(closed.lo) >= 0 and root.compare_fraction(closed.hi) <= 0, (
+            "closed form does not contain the dominant root"
         )
     return enc, closed
 

@@ -62,9 +62,9 @@ from .exactpoly import (
     trim,
 )
 from .extremal import (
+    _split_edges,
     apollonian_pc,
     is_planar_small,
-    max_beta_equality_family,
     max_beta_pc,
     min_beta_graph,
     planar_extremes,
@@ -76,7 +76,6 @@ from .graphs import (
     edge_list,
     edge_slots,
     graph_classes,
-    relabel,
     to_graph6,
 )
 from .matching import (
@@ -310,7 +309,6 @@ def _prepare_extremal_targets(n: int):
             conditional = res.conditional
         targets[k] = {
             "max": AlgebraicReal.dominant_root(pc_star, _TARGET_WIDTH),
-            "family": max_beta_equality_family(n, k),
             "min": _target(min_pred),
             "conditional": conditional,
         }
@@ -327,6 +325,38 @@ def _decide_extremal(counts, targets) -> tuple[int, int]:
     return to_max, root.sign(tgt["min"], 1)
 
 
+def _max_shape(adj, counts) -> bool:
+    """Whether the graph has the shape of the maximiser family at its k edges.
+
+    With k = C(d,2) + e and 0 <= e < d: some d-set C is a clique, and either
+    e <= 1 (the other e edges may then lie anywhere) or some v outside C has
+    degree e and N(v) inside C.  ``counts`` are the graph's clique counts.
+    The shape is an isomorphism invariant, and its labelled graphs are
+    ``max_beta_equality_family(n, k)``.
+    """
+    k = _edges(counts)
+    if k == 0:
+        return True
+    d, e = _split_edges(k)
+    if len(counts) <= d:  # no d-clique
+        return False
+    if e <= 1:
+        return True
+    n = len(adj)
+    for v in range(n):
+        if adj[v].bit_count() == e:
+            # G - v has C(d,2) edges, so it is K_d plus isolated vertices iff
+            # exactly d vertices keep an edge
+            rest = 0
+            for u in range(n):
+                if u != v:
+                    rest |= adj[u]
+            rest &= ~(1 << v)
+            if rest.bit_count() == d and not adj[v] & ~rest:
+                return True
+    return False
+
+
 def _visit_extremal(adj, verdict, events, weight):
     n = len(adj)
     counts = tuple(clique_counts(adj, n))
@@ -334,28 +364,13 @@ def _visit_extremal(adj, verdict, events, weight):
     to_max, to_min = verdict(counts)
     if to_max > 0:
         events["max_violation", k, _g6(adj)] += weight
-    elif to_max == 0:
-        events["max_equal", k, adj] += weight
+    if (to_max == 0) != _max_shape(adj, counts):
+        events["max_family_mismatch", k, None] += weight
     if to_min < 0:
         events["min_violation", k, _g6(adj)] += weight
     elif to_min == 0:
         # below the Mantel bound only triangle-free graphs may attain
         events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += weight
-
-
-def _is_family_exact(equal: dict, family: set, n: int) -> bool:
-    """Whether the labelled graphs of the weighted classes in ``equal`` are ``family``.
-
-    ``family`` is checked closed under the transposition (0 1) and the
-    n-cycle, which generate S_n.  A class with its representative in an
-    S_n-closed family lies in it with every labelling, so the classes cover
-    part of the family, and equal weight totals make it all of it.
-    """
-    swap = [1, 0, *range(2, n)] if n > 1 else [0]
-    shift = [*range(1, n), 0]
-    closed = all(relabel(adj, swap) in family and relabel(adj, shift) in family
-                 for adj in family)
-    return closed and set(equal) <= family and sum(equal.values()) == len(family)
 
 
 def census_extremal_check(n: int, threads: int | None = None) -> dict:
@@ -370,13 +385,10 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
     targets = _prepare_extremal_targets(n)
     events = _census(graph_classes(n), _visit_extremal,
                      partial(_decide_extremal, targets=targets))
-    max_equal: dict[int, dict] = {}
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
     for (tag, k, detail), count in events.items():
-        if tag == "max_equal":
-            max_equal.setdefault(k, {})[detail] = count
-        elif tag == "min_equal":
+        if tag == "min_equal":
             min_equal_counts[k] = min_equal_counts.get(k, 0) + count
             if detail:
                 min_equal_nontf[k] = min_equal_nontf.get(k, 0) + count
@@ -384,10 +396,8 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
         "n": n,
         "max_violations": [(k, g6) for tag, k, g6 in events if tag == "max_violation"],
         "min_violations": [(k, g6) for tag, k, g6 in events if tag == "min_violation"],
-        "max_family_exact": {
-            k: _is_family_exact(max_equal.get(k, {}), t["family"], n)
-            for k, t in targets.items()
-        },
+        "max_family_exact": {k: ("max_family_mismatch", k, None) not in events
+                             for k in targets},
         "min_equal_counts": min_equal_counts,
         "min_equal_nontriangle_free": min_equal_nontf,
         "conditional_ks": [k for k, t in targets.items() if t["conditional"]],
@@ -592,7 +602,8 @@ def _visit_planar(adj, verdict, events, weight):
 
 def census_planar_check(n: int) -> dict:
     """Verify the planar extremes over the full planar census at tiny n."""
-    _check_size(n)
+    if not 1 <= n <= 6:  # the bitset planarity test is exact only up to six vertices
+        raise ValueError("planar census supported for 1 <= n <= 6")
     targets = _prepare_planar_targets(n)
     events = _census(graph_classes(n), _visit_planar, partial(_decide_planar, targets=targets))
     attained: dict = {}

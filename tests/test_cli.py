@@ -112,6 +112,20 @@ def test_survey_verb(capsys):
     assert code == 0 and payload["violations"] == []
 
 
+def test_survey_extremal_verb(capsys, monkeypatch):
+    code, payload = _run_json(capsys, "survey", "extremal", "5")
+    assert code == 0
+    assert sorted(payload) == [
+        "conditional_ks", "max_family_exact", "max_violations", "min_violations", "n",
+    ]
+    assert payload["max_violations"] == payload["min_violations"] == []
+    assert payload["max_family_exact"] == {str(k): True for k in range(11)}
+    # a shape test that rejects every graph makes the family check fail
+    monkeypatch.setattr(pcpoly.survey, "_max_shape", lambda adj, counts: False)
+    code, payload = _run_json(capsys, "survey", "extremal", "5")
+    assert code == 1 and not any(payload["max_family_exact"].values())
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [

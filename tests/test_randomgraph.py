@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from pcpoly import randomgraph
 from pcpoly.cliquepoly import clique_type_polynomial
-from pcpoly.exactpoly import clear_denominators, eval_at, to_fraction_poly, trim
+from pcpoly.exactpoly import RatInterval, clear_denominators, eval_at, to_fraction_poly, trim
 from pcpoly.graphs import iter_all_graphs
 from pcpoly.randomgraph import (
     SERIES_TERMS,
@@ -53,6 +54,21 @@ def test_closed_forms_match_roots():
             assert closed is not None
             mid = (closed.lo + closed.hi) / 2
             assert abs(mid - enc.midpoint) <= F(1, 10**12)
+
+
+def test_closed_form_must_contain_the_root(monkeypatch):
+    # shifted off the root by 1.5 * width, the interval still overlaps the
+    # enclosure padded by width on each side, but no longer contains the root
+    width = F(1, 10**6)
+    true_interval = randomgraph._closed_form_interval
+
+    def shifted(n, p, eps):
+        closed = true_interval(n, p, eps)
+        return RatInterval(closed.lo + 3 * width / 2, closed.hi + 3 * width / 2)
+
+    monkeypatch.setattr(randomgraph, "_closed_form_interval", shifted)
+    with pytest.raises(AssertionError, match="closed form"):
+        beta_random(4, F(1, 3), width)
 
 
 def test_ladder_structure():

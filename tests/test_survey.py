@@ -8,8 +8,16 @@ from fractions import Fraction as F
 import pytest
 
 from pcpoly import survey
-from pcpoly.graphs import adj_from_edge_mask, complement, edge_slots, iter_all_graphs
-from pcpoly.cliquepoly import clique_profile
+from pcpoly.extremal import max_beta_construction, max_beta_equality_family
+from pcpoly.graphs import (
+    adj_from_edge_mask,
+    canonical_form,
+    complement,
+    edge_slots,
+    graph_classes,
+    iter_all_graphs,
+)
+from pcpoly.cliquepoly import clique_counts, clique_profile
 from pcpoly.exactpoly import AlgebraicReal
 from pcpoly.matching import adjoint_polynomial, matching_counts
 from pcpoly.survey import (
@@ -94,6 +102,42 @@ def test_census_size_out_of_range_fails_fast(census, n):
     assert time.perf_counter() - start < 1
 
 
+def test_planar_census_rejects_n_above_6_before_generating_classes(monkeypatch):
+    def generate(n):
+        raise AssertionError("graph_classes ran")
+
+    monkeypatch.setattr(survey, "graph_classes", generate)
+    with pytest.raises(ValueError, match="planar census supported for 1 <= n <= 6"):
+        census_planar_check(7)
+
+
+def test_max_shape_is_the_equality_family():
+    # the shape test is what census_extremal_check compares the maximum with
+    def shape(adj):
+        return survey._max_shape(adj, clique_counts(adj, len(adj)))
+
+    for n in range(1, 8):
+        classes = graph_classes(n)
+        for k in range(n * (n - 1) // 2 + 1):
+            family = max_beta_equality_family(n, k)
+            assert all(shape(adj) for adj in family), (n, k)
+            weight = sum(w for rows, w in classes
+                         if sum(r.bit_count() for r in rows) == 2 * k and shape(rows))
+            assert weight == len(family), (n, k)
+
+
+def test_max_family_check_is_live(monkeypatch):
+    # reject one attaining class, K3 plus a pendant edge at n=5, k=4
+    rows, _ = canonical_form(max_beta_construction(5, 4).adj)
+    assert rows in dict(graph_classes(5))
+    shape = survey._max_shape
+    monkeypatch.setattr(survey, "_max_shape",
+                        lambda adj, counts: adj != rows and shape(adj, counts))
+    res = census_extremal_check(5)
+    assert res["max_family_exact"] == {k: k != 4 for k in range(11)}
+    assert res["max_violations"] == []
+
+
 def test_keyed_census_outputs_pinned():
     # values of the per-graph implementation these censuses replaced
     text = graph_census_csv(5)
@@ -174,7 +218,6 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
 
 def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypatch):
     from pcpoly import matching
-    from pcpoly.graphs import graph_classes
 
     calls = Counter()
     for fn in ("clique_partition_counts", "hat_rows"):
