@@ -2,12 +2,13 @@
 
 Polynomials are tuples of coefficients in ascending degree order.  Public
 entry points accept ``int`` or ``Fraction`` coefficients; the root kernel
-(squarefree decomposition, Sturm chains, bisection) runs on primitive
-``int`` tuples, and ``Fraction`` appears only at its boundary: the
-endpoints it returns and the candidates of the rational-root search.  Every
-root bound produced here is a rational interval certified by exact sign
-evaluations (or an exact rational hit), so no floating point enters any
-result.
+(squarefree decomposition, Sturm chains, isolation and bisection) runs on
+primitive ``int`` tuples and on intervals held as integer numerators over
+one shared denominator.  ``Fraction`` appears only at its boundary: the
+endpoints it returns, a rational root it hits, and the Fraction points that
+callers such as :class:`AlgebraicReal` pass in.  Every root bound produced
+here is a rational interval certified by exact sign evaluations (or an
+exact rational hit), so no floating point enters any result.
 """
 
 from __future__ import annotations
@@ -283,9 +284,13 @@ def _sign_nd(p, n, d) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def variations_at(chain, x) -> int:
-    n, d = x.numerator, x.denominator
+def _variations_nd(chain, n, d) -> int:
+    """Sign variations of the chain at n/d, for integers n and d > 0."""
     return _variations([_sign_nd(f, n, d) for f in chain])
+
+
+def variations_at(chain, x) -> int:
+    return _variations_nd(chain, x.numerator, x.denominator)
 
 
 def variations_at_inf(chain, positive: bool) -> int:
@@ -324,10 +329,13 @@ def real_root_count(p, interval=(None, None)) -> int:
     return count_roots_halfopen(chain, a, b)
 
 
-def cauchy_bound(p) -> Fraction:
-    lead = abs(Fraction(p[-1]))
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+def cauchy_bound(p) -> tuple[int, int]:
+    """(m, d) with every real root of integer ``p`` inside (-m/d, m/d).
+
+    m/d = 1 + max |c_i| / |c_n|, Cauchy's bound, over d = |c_n|.
+    """
+    lead = abs(p[-1])
+    return lead + max((abs(c) for c in p[:-1]), default=0), lead
 
 
 # ---------------------------------------------------------------------------
@@ -360,110 +368,122 @@ class RootEnclosure:
         return float(self.midpoint)
 
 
-def _try_rational_root(p, lo, hi):
-    """Search for an exact rational root of integer ``p`` inside (lo, hi]."""
+def _try_rational_root(p, a, b, d):
+    """Search for an exact rational root of integer ``p`` inside (a/d, b/d]."""
     lead = abs(p[-1])
     dens = [1]
     if lead > 1 and lead <= 10**6:
-        dens = sorted({d for i in range(1, math.isqrt(lead) + 1) if lead % i == 0
-                       for d in (i, lead // i)})
+        dens = sorted({q for i in range(1, math.isqrt(lead) + 1) if lead % i == 0
+                       for q in (i, lead // i)})
     for den in dens:
-        first = math.floor(lo * den) + 1
-        last = math.floor(hi * den)
+        # num/den > a/d from num > floor(a den / d), and num/den <= b/d
+        first = a * den // d + 1
+        last = b * den // d
         if last - first > 32:
             continue
         for num in range(first, last + 1):
-            cand = Fraction(num, den)
-            if cand > lo and _sign_at(p, cand) == 0:
-                return cand
+            if _sign_nd(p, num, den) == 0:
+                return Fraction(num, den)
     return None
 
 
-def _bisect(p, lo, hi, width):
-    """Halve (lo, hi] around the sign change of ``p`` until hi - lo <= width.
-
-    Works on lo = a/d, hi = b/d over one shared denominator d: the midpoint
-    is (a + b)/2d, its sign comes from integer Horner (:func:`_sign_nd`), and
-    b - a never changes while d doubles.  Only the returned endpoints become
-    Fractions; an exact hit on a root returns it as both.
-    """
-    width = Fraction(width)
+def _over_one_denominator(lo, hi) -> tuple[int, int, int]:
+    """(a, b, d) with lo = a/d and hi = b/d for Fractions lo and hi."""
     d = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+def _bisect(p, a, b, d, wn, wd):
+    """Halve (a/d, b/d] around the sign change of ``p`` until it is at most wn/wd wide.
+
+    The midpoint is (a + b)/2d, its sign comes from integer Horner
+    (:func:`_sign_nd`), and b - a never changes while d doubles.  Returns
+    the interval as (a, b, d); an exact hit on a root returns it with a = b.
+    """
     gap = b - a
     s_lo = _sign_nd(p, a, d)
-    while gap * width.denominator > width.numerator * d:
+    while gap * wd > wn * d:
         mid = a + b
         d *= 2
         s = _sign_nd(p, mid, d)
         if s == 0:
-            hit = Fraction(mid, d)
-            return hit, hit
+            return mid, mid, d
         if s == s_lo:
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid
-    return Fraction(a, d), Fraction(b, d)
+    return a, b, d
 
 
-def _refine_simple_root(p, chain, lo, hi, width):
-    """Shrink (lo, hi] around the unique simple root of squarefree ``p``."""
-    exact = _try_rational_root(p, lo, hi)
+def _refine_simple_root(p, chain, a, b, d, width):
+    """Shrink (a/d, b/d] around the unique simple root of squarefree ``p``.
+
+    Works on integer numerators over one denominator; only the returned
+    endpoints become Fractions.
+    """
+    wn, wd = width.as_integer_ratio()
+    exact = _try_rational_root(p, a, b, d)
     if exact is not None:
         return exact, exact
-    # move lo off an adjacent root without skipping over the enclosed one
-    if _sign_at(p, lo) == 0:
-        step = (hi - lo) / 4
+    # move lo off an adjacent root without skipping over the enclosed one:
+    # candidates lo + (hi - lo)/e for e = 4, 16, 64, ...
+    if _sign_nd(p, a, d) == 0:
+        v_hi = _variations_nd(chain, b, d)
+        e = 4
         while True:
-            cand = lo + step
-            if _sign_at(p, cand) == 0:
-                return cand, cand
-            if count_roots_halfopen(chain, cand, hi) == 1:
-                lo = cand
+            cn, cd = a * e + b - a, d * e
+            if _sign_nd(p, cn, cd) == 0:
+                hit = Fraction(cn, cd)
+                return hit, hit
+            if _variations_nd(chain, cn, cd) - v_hi == 1:
+                a, b, d = cn, b * e, cd
                 break
-            step /= 4
-    if _sign_at(p, hi) == 0:
+            e *= 4
+    if _sign_nd(p, b, d) == 0:
+        hi = Fraction(b, d)
         return hi, hi
-    # the widths run (hi - lo) / 2^k; the rational-root search is retried
+    # the widths run (b - a)/2^k d; the rational-root search is retried
     # once, at the first of them below 2 that is still wider than ``width``
-    first = hi - lo
-    while first >= 2:
-        first /= 2
-    lo, hi = _bisect(p, lo, hi, max(width, first))
-    if hi - lo > width:
-        exact = _try_rational_root(p, lo, hi)
-        if exact is not None:
-            return exact, exact
-    return _bisect(p, lo, hi, width)
+    first_d = d
+    while b - a >= 2 * first_d:
+        first_d *= 2
+    if (b - a) * wd > wn * first_d:
+        a, b, d = _bisect(p, a, b, d, b - a, first_d)
+        if (b - a) * wd > wn * d:
+            exact = _try_rational_root(p, a, b, d)
+            if exact is not None:
+                return exact, exact
+    a, b, d = _bisect(p, a, b, d, wn, wd)
+    return Fraction(a, d), Fraction(b, d)
 
 
 def _root_enclosures(factor, mult, sqfull, width):
     """Enclosures of the real roots of squarefree ``factor``, largest first.
 
     Bisects the Cauchy-bound interval at rational midpoints, counting roots
-    in each half-open (a, b] with the Sturm chain and searching the right
-    half first.  Each interval that holds one root is refined and nudged
-    only when the caller asks for the next enclosure.
+    in each half-open (a/d, b/d] with the Sturm chain and searching the
+    right half first.  Each stack entry carries the chain's sign variations
+    at both ends, so a split evaluates the chain at its midpoint only.  Each
+    interval that holds one root is refined and nudged only when the caller
+    asks for the next enclosure.
     """
     chain = sturm_chain(factor)
-    bound = cauchy_bound(factor)
-    total = count_roots_halfopen(chain, -bound, bound)
-    stack = [(-bound, bound, total)]
+    m, d = cauchy_bound(factor)
+    stack = [(-m, m, d, _variations_nd(chain, -m, d), _variations_nd(chain, m, d))]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
+        a, b, d, va, vb = stack.pop()
+        if va == vb:
             continue
-        if cnt == 1:
-            lo, hi = _refine_simple_root(factor, chain, a, b, width)
+        if va - vb == 1:
+            lo, hi = _refine_simple_root(factor, chain, a, b, d, width)
             if lo != hi:
                 lo, hi = _nudge_off_roots(factor, sqfull, lo, hi)
             yield RootEnclosure(lo, hi, mult)
             continue
-        m = (a + b) / 2
-        left = count_roots_halfopen(chain, a, m)
-        stack.append((a, m, left))
-        stack.append((m, b, cnt - left))
+        mid = a + b
+        vm = _variations_nd(chain, mid, 2 * d)
+        stack.append((2 * a, mid, 2 * d, va, vm))
+        stack.append((mid, 2 * b, 2 * d, vm, vb))
 
 
 def _enclosures_per_factor(p, width):
@@ -625,8 +645,8 @@ class AlgebraicReal:
     def refine(self, width) -> None:
         if self.hi - self.lo <= width:
             return
-        lo, hi = _refine_simple_root(self.poly, self.chain(), self.lo, self.hi, width)
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = _refine_simple_root(
+            self.poly, self.chain(), *_over_one_denominator(self.lo, self.hi), width)
 
     def enclosure(self, width, multiplicity=1) -> RootEnclosure:
         self.refine(width)

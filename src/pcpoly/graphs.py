@@ -210,6 +210,12 @@ def parse_named(text: str) -> Graph:
 # graph6
 
 
+# the six stream bits of graph6 value v (its first bit the highest), held
+# first bit lowest; reversing six bits is its own inverse
+_G6_BITS = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_G6_CHARS = tuple(chr(r + 63) for r in _G6_BITS)
+
+
 def parse_graph6(text: str) -> Graph:
     data = text.strip()
     if data.startswith(">>graph6<<"):
@@ -232,22 +238,20 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError("graph6 body length mismatch")
-    bits_stream = []
-    for b in body:
-        bits_stream.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    # bit j(j-1)/2 + i of the stream is pair (i, j), as in to_graph6
+    stream = 0
+    for k, v in enumerate(body):
+        stream |= _G6_BITS[v] << (6 * k)
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits_stream[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        col = stream >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        adj[j] = col  # rows above j get their bit j only at later columns
+        bit_j = 1 << j
+        while col:
+            b = col & -col
+            adj[b.bit_length() - 1] |= bit_j
+            col ^= b
     return Graph(n, tuple(adj))
-
-
-# the graph6 character of six stream bits held first bit lowest
-_G6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 
 
 def to_graph6(g: Graph) -> str:

@@ -1,10 +1,10 @@
 """Matching and adjoint polynomials with their structural cross-checks.
 
-The matching-generating polynomial is computed by subset dynamic programming
-and cross-checked against the independence polynomial of the line graph; the
-adjoint polynomial counts partitions of the vertex set into cliques and is
-checked exactly against the independence polynomial of the derived
-edge-conflict graph.
+The matching-generating polynomial is computed by a memoised vertex-deletion
+recursion and cross-checked against the independence polynomial of the line
+graph; the adjoint polynomial counts partitions of the vertex set into
+cliques and is checked exactly against the independence polynomial of the
+derived edge-conflict graph.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
     RootEnclosure,
+    _sign_at,
+    count_roots_halfopen,
     dominant_real_root,
+    squarefree_part,
+    sturm_chain,
     trim,
 )
 from .graphs import Graph, complement_adj, edge_list, line_graph
@@ -31,7 +35,7 @@ class MatchingPair:
     generating: tuple  # m_0, m_1, ..., m_nu
 
 
-MATCHING_MAX_VERTICES = 19  # the 2^n subset table; DECISIONS.md D5
+MATCHING_MAX_VERTICES = 19  # K_n, the worst case, needs F(n+2) subsets; DECISIONS.md D5
 
 
 def _limb_bits(n: int) -> int:
@@ -46,37 +50,50 @@ def _limb_bits(n: int) -> int:
     return cur.bit_length()
 
 
-def matching_counts_from_adj(adj, n: int) -> list[int]:
-    """Matchings by size via subset DP, coefficients packed into one integer.
+def _packed_matching_poly(p: int, adj, shift: int, memo: dict) -> int:
+    """Matching generating polynomial of the subgraph induced on ``p``, limbs packed.
 
-    f[mask] encodes the generating polynomial of the induced subgraph with
-    the size-k count in limb k; adding a matched edge is a single shift.
-    Raises ValueError above MATCHING_MAX_VERTICES vertices.
+    m(P) = m(P - v) + x sum_{u in N(v) & P} m(P - v - u) with v the lowest
+    vertex of P; the coefficient of x^k sits in limb k, ``shift`` bits wide.
+    ``memo`` holds m(0) = 1 on entry and every subproblem solved so far.
+    """
+    got = memo.get(p)
+    if got is not None:
+        return got
+    b = p & -p
+    rest = p ^ b
+    matched = 0
+    m = adj[b.bit_length() - 1] & rest
+    while m:
+        ub = m & -m
+        m ^= ub
+        matched += _packed_matching_poly(rest ^ ub, adj, shift, memo)
+    val = _packed_matching_poly(rest, adj, shift, memo) + (matched << shift)
+    memo[p] = val
+    return val
+
+
+def matching_counts_from_adj(adj, n: int) -> list[int]:
+    """Matchings by size, coefficients packed into one integer.
+
+    The lowest vertex stays unmatched or is matched to a neighbour, memoised
+    on the remaining vertex set for the length of one call, so only the
+    subsets this deletion order reaches are solved: at most F(n+2), the
+    number K_n reaches (DECISIONS.md D5).  Raises ValueError above
+    MATCHING_MAX_VERTICES vertices.
     """
     if n > MATCHING_MAX_VERTICES:
         raise ValueError(
-            f"matching counts need a 2^n table; capped at {MATCHING_MAX_VERTICES} vertices"
+            f"matching counts are capped at {MATCHING_MAX_VERTICES} vertices"
         )
-    size = 1 << n
-    f = [0] * size
-    f[0] = 1
     shift = _limb_bits(n)
-    for mask in range(1, size):
-        b = mask & -mask
-        rest = mask ^ b
-        acc = f[rest]
-        m = adj[b.bit_length() - 1] & rest
-        while m:
-            ub = m & -m
-            m ^= ub
-            acc += f[rest ^ ub] << shift
-        f[mask] = acc
-    packed = f[size - 1]
+    packed = _packed_matching_poly((1 << n) - 1, adj, shift, {0: 1})
+    limb = (1 << shift) - 1
     counts = []
     while packed:
-        counts.append(packed & ((1 << shift) - 1))
+        counts.append(packed & limb)
         packed >>= shift
-    return counts or [1]
+    return counts
 
 
 def matching_counts(g: Graph) -> list[int]:
@@ -87,7 +104,7 @@ def matching_counts(g: Graph) -> list[int]:
 def _matching_and_t(
     g: Graph, width: Fraction | None = None
 ) -> tuple[MatchingPair, RootEnclosure | None]:
-    """(MatchingPair, enclosure of t(G) or None) with one DP and one clique count.
+    """(MatchingPair, enclosure of t(G) or None) with one matching and one clique count.
 
     The matching counts are asserted equal to the independence polynomial of
     L(G), which is the clique polynomial of co-L(G).  With a ``width``, the
@@ -108,11 +125,13 @@ def _matching_and_t(
         return pair, None
     enc = dominant_real_root(pair.mu, width)
     lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
+    # the largest root of pc lies in [lo2, hi2] iff pc has a root there and
+    # none above hi2: two exact Sturm counts, the root itself never isolated
     pc = pc_poly_from_counts(line_ind)
-    target = AlgebraicReal.dominant_root(pc, Fraction(1, 2**24))
-    assert target.compare_fraction(lo2) >= 0 and target.compare_fraction(hi2) <= 0, (
-        "t^2 must be the complement line-graph growth rate"
-    )
+    chain = sturm_chain(squarefree_part(pc))
+    assert (_sign_at(pc, lo2) == 0 or count_roots_halfopen(chain, lo2, hi2) >= 1) and (
+        count_roots_halfopen(chain, hi2, None) == 0
+    ), "t^2 must be the complement line-graph growth rate"
     return pair, enc
 
 

@@ -22,6 +22,7 @@ from .exactpoly import (
     _bisect,
     _dominant_root_and_factor,
     _div_exact_int,
+    _over_one_denominator,
     _sign_at,
     add,
     clear_denominators,
@@ -203,7 +204,11 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
             brackets.append((lo, hi))
             sign_hi = sign_lo
         hi = lo
-    return [RootEnclosure(*_bisect(ipoly, a, b_, width), 1) for a, b_ in brackets[:how_many]]
+    out = []
+    for lo, hi in brackets[:how_many]:
+        a, b, d = _bisect(ipoly, *_over_one_denominator(lo, hi), *width.as_integer_ratio())
+        out.append(RootEnclosure(Fraction(a, d), Fraction(b, d), 1))
+    return out
 
 
 def ladder_limit_roots(r: int, p, t: int, width: Fraction = Fraction(1, 10**9)) -> RootEnclosure:

@@ -308,6 +308,7 @@ def _prepare_extremal_targets(n: int):
             min_pred = res.predicted_beta
             conditional = res.conditional
         targets[k] = {
+            "max_pc": pc_star,
             "max": AlgebraicReal.dominant_root(pc_star, _TARGET_WIDTH),
             "min": _target(min_pred),
             "conditional": conditional,
@@ -318,8 +319,10 @@ def _prepare_extremal_targets(n: int):
 def _decide_extremal(counts, targets) -> tuple[int, int]:
     """Exact signs of beta minus the maximum and minus the minimum at its k."""
     tgt = targets[_edges(counts)]
-    root = _DominantRoot(pc_poly_from_counts(counts))
-    to_max = root.sign(tgt["max"], -1)
+    pc = pc_poly_from_counts(counts)
+    root = _DominantRoot(pc)
+    # equal polynomials have equal largest roots
+    to_max = 0 if pc == tgt["max_pc"] else root.sign(tgt["max"], -1)
     if len(counts) <= 3:
         return to_max, 0  # triangle-free: the growth rate is the quadratic value exactly
     return to_max, root.sign(tgt["min"], 1)

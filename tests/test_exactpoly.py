@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcpoly import exactpoly
+from pcpoly.cliquepoly import pc_polynomial
 from pcpoly.exactpoly import (
     AlgebraicReal,
     QuadSurd,
@@ -32,6 +33,8 @@ from pcpoly.exactpoly import (
     sturm_chain,
     trim,
 )
+from pcpoly.graphs import from_edges
+from pcpoly.matching import matching_polynomials
 
 
 def test_real_root_count_examples():
@@ -339,6 +342,33 @@ def test_enclosures_match_pinned_digest():
     assert digest.hexdigest() == "29b1db19ce854fba7cf3cdfd7d5670d68c632bb9a8d641ead20681b3ad6ff59d"
 
 
+def _seeded_graph_polys(seed=20261019):
+    """Recurrence polynomials of G(n, m) graphs up to 40 vertices, then signed
+    matching polynomials of graphs up to 12 vertices."""
+    rng = random.Random(seed)
+
+    def gnm(n, density):
+        slots = [(i, j) for j in range(1, n) for i in range(j)]
+        return from_edges(n, rng.sample(slots, round(density * len(slots))))
+
+    for n in (4, 6, 9, 12, 16, 20, 25, 30, 35, 40):
+        for density in (0.2, 0.35, 0.5, 0.65, 0.8):
+            yield pc_polynomial(gnm(n, density))
+    for n in range(2, 13):
+        for density in (0.3, 0.5, 0.7, 0.9):
+            yield matching_polynomials(gnm(n, density)).mu
+
+
+def test_graph_enclosures_match_pinned_digest():
+    digest = hashlib.sha256()
+    for p in _seeded_graph_polys():
+        top = dominant_real_root(p, F(1, 10**12))
+        digest.update(repr((top.lo, top.hi, top.multiplicity)).encode())
+    # computed with the Fraction-interval isolation (two Sturm evaluations per
+    # bisection level), before the stack carried integer endpoints
+    assert digest.hexdigest() == "1706efe156be9006a2b74cfb70ba599c53496530843990f2d4f529c88dbc3758"
+
+
 def test_integer_kernel_builds_no_fractions(monkeypatch):
     built = []
 
@@ -352,6 +382,10 @@ def test_integer_kernel_builds_no_fractions(monkeypatch):
     assert count_nonreal_roots(p) == 2
     assert squarefree_decomposition(p) == [(1, (1, 3, -4, 0, 7)), (2, (-2, 0, 1))]
     assert built == []
+    # isolation builds only the returned endpoints: two per squarefree factor
+    top = dominant_real_root(p, F(1, 10**12))
+    assert top.multiplicity == 2 and top.lo**2 < 2 < top.hi**2
+    assert len(built) == 4
 
 
 def test_enclosure_holding_another_factors_root():

@@ -77,6 +77,32 @@ def test_graph6_roundtrip_small():
         assert parse_graph6(to_graph6(g)).adj == g.adj
 
 
+def test_graph6_roundtrip_large():
+    # n = 63 and 64 take the four-character size prefix
+    rng = random.Random(6)
+    for n in (40, 62, 63, 64):
+        slots = edge_slots(n)
+        for _ in range(50):
+            g = graph_from_edge_mask(n, rng.getrandbits(len(slots)), slots)
+            assert parse_graph6(to_graph6(g)).adj == g.adj
+
+
+@pytest.mark.parametrize("text, message", [
+    ("D? {", "invalid graph6 character"),
+    ("D?\x7f", "invalid graph6 character"),
+    ("", "empty graph6 string"),
+    ("~??", "bad graph6 size prefix"),
+    ("~~???", "bad graph6 size prefix"),
+    ("~?@@", "graph6 vertex count 65 out of range"),
+    ("?", "graph6 vertex count 0 out of range"),
+    ("D?", "graph6 body length mismatch"),
+    ("D?{?", "graph6 body length mismatch"),
+])
+def test_graph6_error_messages(text, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        parse_graph6(text)
+
+
 def test_edge_list_roundtrip():
     g = parse_graph("5; 0 1; 1 2; 3 4", "edge-list")
     assert g.edge_count == 3

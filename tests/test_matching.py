@@ -7,11 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from pcpoly.cliquepoly import beta_algebraic
+from pcpoly import matching
 from pcpoly.exactpoly import (
+    clear_denominators,
     count_nonreal_roots,
     eval_at,
     mul,
     scale,
+    shift_poly,
     to_fraction_poly,
     trim,
 )
@@ -33,6 +36,7 @@ from pcpoly.matching import (
     MATCHING_MAX_VERTICES,
     hat_graph,
     matching_counts,
+    matching_counts_from_adj,
     matching_polynomials,
     t_largest,
     t_squared_algebraic,
@@ -92,6 +96,48 @@ def test_matching_counts_beyond_twelve_vertices_match_recursive_oracle():
         for p in (0.3, 0.6, 0.9):
             edges = [e for e in complete if rng.random() < p]
             assert matching_counts(from_edges(n, edges)) == _matching_counts_recursive(n, edges)
+
+
+def _subsets_solved(adj, n):
+    memo = {0: 1}
+    matching._packed_matching_poly((1 << n) - 1, adj, matching._limb_bits(n), memo)
+    return len(memo)
+
+
+def test_matching_recursion_matches_recursive_oracle():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        slots = [(i, j) for j in range(n) for i in range(j)]
+        for p in (0.2, 0.5, 0.8):
+            edges = [e for e in slots if rng.random() < p]
+            assert matching_counts_from_adj(from_edges(n, edges).adj, n) == (
+                _matching_counts_recursive(n, edges))
+    # K_n reaches F(n+2) vertex subsets, and any graph on n vertices at most that many
+    fib = [0, 1]
+    while len(fib) < 17:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 15):
+        complete = [(i, j) for j in range(n) for i in range(j)]
+        adj = from_edges(n, complete).adj
+        assert matching_counts_from_adj(adj, n) == _matching_counts_recursive(n, complete)
+        assert _subsets_solved(adj, n) == fib[n + 2]
+        sub = from_edges(n, [e for e in complete if rng.random() < 0.6]).adj
+        assert _subsets_solved(sub, n) <= fib[n + 2]
+
+
+@pytest.mark.parametrize("shift", [F(1, 2**20), F(-1, 2**20)])
+def test_t_squared_check_is_live(monkeypatch, shift):
+    g = parse_graph("C5", "named")
+    t_largest(g)
+    unshifted = matching.pc_poly_from_counts
+
+    def shifted(counts):
+        # p(x - shift): every root moves by ``shift``
+        return clear_denominators(shift_poly(unshifted(counts), -shift))
+
+    monkeypatch.setattr(matching, "pc_poly_from_counts", shifted)
+    with pytest.raises(AssertionError, match="t\\^2"):
+        t_largest(g)
 
 
 def test_matching_counts_fail_fast_above_cap():
