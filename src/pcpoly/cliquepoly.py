@@ -24,7 +24,14 @@ from .exactpoly import (
     to_fraction_poly,
     trim,
 )
-from .graphs import Graph, bits, complement, connected_components, induced_subgraph_mask
+from .graphs import (
+    Graph,
+    bits,
+    complement,
+    complement_adj,
+    connected_components,
+    induced_subgraph_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,11 @@ def clique_counts(adj: tuple[int, ...], n: int, within: int | None = None) -> li
     return counts
 
 
+def independence_counts(adj: tuple[int, ...], n: int) -> list[int]:
+    """Independent-set counts by size of rows ``adj``: the clique counts of the complement."""
+    return clique_counts(complement_adj(adj), n)
+
+
 def clique_profile(g: Graph) -> CliqueProfile:
     return CliqueProfile(tuple(clique_counts(g.adj, g.n)))
 
@@ -117,7 +129,7 @@ def clique_type_polynomial(g: Graph, kind: str) -> tuple:
     polynomial is the clique polynomial of the complement.
     """
     if kind == "independence":
-        return clique_type_polynomial(complement(g), "clique")
+        return tuple(independence_counts(g.adj, g.n))
     counts = clique_counts(g.adj, g.n)
     if kind == "pc":
         return pc_poly_from_counts(counts)

@@ -194,22 +194,32 @@ def squarefree_part(p):
 
 
 def squarefree_decomposition(p):
-    """Yun decomposition: list of (multiplicity, primitive squarefree factor).
+    """Yun decomposition: list of (multiplicity, primitive squarefree factor)."""
+    return [(mult, factor) for mult, factor, _ in _squarefree_with_chains(primitive(trim(p)))]
 
-    Runs exactly in Z[x] (D. Y. Y. Yun, SYMSAC 1976): every divisor is a
-    primitive gcd, so every quotient is integral.  b and c are always divided
-    by the same gcd, which keeps the c - b' bookkeeping exact; normalizing b
-    or c on its own would break it, so only the emitted factors are made
-    primitive.
+
+def _squarefree_with_chains(p):
+    """Yun decomposition of primitive ``p`` as [(multiplicity, factor, Sturm chain of factor)].
+
+    The Sturm chain of p is a remainder sequence of (p, p'), so its last
+    element is gcd(p, p') up to sign and content (DECISIONS.md D8).  When
+    that is a constant, p is squarefree: the result is p with its own chain
+    and no gcd is computed.  Otherwise Yun's loop runs exactly in Z[x]
+    (D. Y. Y. Yun, SYMSAC 1976) from that gcd: every divisor is a primitive
+    gcd, so every quotient is integral.  b and c are always divided by the
+    same gcd, which keeps the c - b' bookkeeping exact; normalizing b or c on
+    its own would break it, so only the emitted factors are made primitive.
     """
-    p = primitive(trim(p))
-    out = []
     if len(p) <= 1:
-        return out
+        return []
+    chain = sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return [(1, p, chain)]
     d = derivative(p)
-    a = gcd_int(p, d)
+    a = primitive(chain[-1])
     b = _div_exact_int(p, a)
     c = _div_exact_int(d, a)
+    out = []
     m = 1
     while len(b) > 1:
         delta = sub(c, derivative(b))
@@ -222,7 +232,7 @@ def squarefree_decomposition(p):
         b = _div_exact_int(b, f)
         c = _div_exact_int(delta, f)
         m += 1
-    return out
+    return [(mult, factor, sturm_chain(factor)) for mult, factor in out]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +314,13 @@ def variations_at_inf(chain, positive: bool) -> int:
 
 
 def count_roots_halfopen(chain, a, b) -> int:
-    """Distinct real roots in (a, b]; requires a squarefree chain head.
+    """Distinct real roots in (a, b]; neither end may be a multiple root of the chain head.
 
     With zero signs dropped, the variation count at a point equals the count
-    just to its right, which yields half-open semantics at both ends.
+    just to its right, which yields half-open semantics at both ends.  Every
+    chain element vanishes at a multiple root of the head, and only there,
+    so a head that is not squarefree is counted right at every other point
+    and at infinity (DECISIONS.md D8).
     """
     va = variations_at(chain, a) if a is not None else variations_at_inf(chain, False)
     vb = variations_at(chain, b) if b is not None else variations_at_inf(chain, True)
@@ -323,10 +336,9 @@ def real_root_count(p, interval=(None, None)) -> int:
     ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
-    sq = squarefree_part(ip)
-    chain = sturm_chain(sq)
+    # the squarefree factors are pairwise coprime: their roots partition those of p
     a, b = interval
-    return count_roots_halfopen(chain, a, b)
+    return sum(count_roots_halfopen(chain, a, b) for _, _, chain in _squarefree_with_chains(ip))
 
 
 def cauchy_bound(p) -> tuple[int, int]:
@@ -457,17 +469,16 @@ def _refine_simple_root(p, chain, a, b, d, width):
     return Fraction(a, d), Fraction(b, d)
 
 
-def _root_enclosures(factor, mult, sqfull, width):
+def _root_enclosures(factor, chain, mult, sqfull, width):
     """Enclosures of the real roots of squarefree ``factor``, largest first.
 
     Bisects the Cauchy-bound interval at rational midpoints, counting roots
-    in each half-open (a/d, b/d] with the Sturm chain and searching the
-    right half first.  Each stack entry carries the chain's sign variations
-    at both ends, so a split evaluates the chain at its midpoint only.  Each
-    interval that holds one root is refined and nudged only when the caller
-    asks for the next enclosure.
+    in each half-open (a/d, b/d] with ``chain``, the Sturm chain of
+    ``factor``, and searching the right half first.  Each stack entry
+    carries the chain's sign variations at both ends, so a split evaluates
+    the chain at its midpoint only.  Each interval that holds one root is
+    refined and nudged only when the caller asks for the next enclosure.
     """
-    chain = sturm_chain(factor)
     m, d = cauchy_bound(factor)
     stack = [(-m, m, d, _variations_nd(chain, -m, d), _variations_nd(chain, m, d))]
     while stack:
@@ -487,16 +498,17 @@ def _root_enclosures(factor, mult, sqfull, width):
 
 
 def _enclosures_per_factor(p, width):
-    """(factor, lazy :func:`_root_enclosures` iterator) per squarefree factor of ``p``."""
+    """(factor, chain, lazy :func:`_root_enclosures` iterator) per squarefree factor of ``p``."""
     ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
     if width <= 0:
         raise ValueError("width must be positive")
-    factors = squarefree_decomposition(ip)
+    factors = _squarefree_with_chains(ip)
     # the product of the factors has the roots of ip; it serves the zero tests
-    sqfull = reduce(mul, (factor for _, factor in factors), (1,))
-    return [(factor, _root_enclosures(factor, mult, sqfull, width)) for mult, factor in factors]
+    sqfull = reduce(mul, (factor for _, factor, _ in factors), (1,))
+    return [(factor, chain, _root_enclosures(factor, chain, mult, sqfull, width))
+            for mult, factor, chain in factors]
 
 
 def isolate_real_roots(p, width=DEFAULT_WIDTH):
@@ -508,7 +520,7 @@ def isolate_real_roots(p, width=DEFAULT_WIDTH):
     (endpoints are nudged off roots of other factors).  Signs are taken by
     integer Horner (:func:`_sign_at`), so every decision is exact.
     """
-    out = [enc for _, encs in _enclosures_per_factor(p, width) for enc in encs]
+    out = [enc for _, _, encs in _enclosures_per_factor(p, width) for enc in encs]
     out.sort(key=lambda e: (e.lo, e.hi))
     return out
 
@@ -557,29 +569,36 @@ def dominant_real_root(p, width=DEFAULT_WIDTH) -> RootEnclosure:
 
 
 def _dominant_root_and_factor(p, width):
-    """(enclosure of the largest real root, the squarefree factor it is a root of)."""
-    best = best_factor = None
-    for factor, encs in _enclosures_per_factor(p, width):
+    """(enclosure of the largest real root, the squarefree factor it is a root of, its chain)."""
+    best = None
+    for factor, chain, encs in _enclosures_per_factor(p, width):
         top = next(encs, None)
         # on equal keys the later factor wins, like the stable sort in isolate_real_roots
-        if top is not None and (best is None or (top.lo, top.hi) >= (best.lo, best.hi)):
-            best, best_factor = top, factor
+        if top is not None and (best is None or (top.lo, top.hi) >= (best[0].lo, best[0].hi)):
+            best = top, factor, chain
     if best is None:
         raise ValueError("polynomial has no real root")
-    return best, best_factor
+    return best
 
 
 def count_nonreal_roots(p) -> int:
-    """Degree minus the multiplicity-weighted number of real roots."""
+    """Degree minus the multiplicity-weighted number of real roots.
+
+    With p_0 = p and p_(j+1) = gcd(p_j, p_j'), the last element of the Sturm
+    chain of p_j, a real root of multiplicity m is a root of p_0, ..., p_(m-1)
+    and of no later p_j, so summing the distinct real roots of every p_j
+    (Sturm's count, valid without squarefreeness) weights each root by its
+    multiplicity (DECISIONS.md D8).
+    """
     ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
-    if len(ip) == 1:
-        return 0
     real = 0
-    for mult, factor in squarefree_decomposition(ip):
-        chain = sturm_chain(factor)
-        real += mult * count_roots_halfopen(chain, None, None)
+    q = ip
+    while len(q) > 1:
+        chain = sturm_chain(q)
+        real += count_roots_halfopen(chain, None, None)
+        q = chain[-1]
     return degree(ip) - real
 
 
@@ -596,11 +615,11 @@ class AlgebraicReal:
 
     __slots__ = ("poly", "lo", "hi", "_chain")
 
-    def __init__(self, poly, lo, hi):
+    def __init__(self, poly, lo, hi, chain=None):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain = None
+        self._chain = chain  # Sturm chain of poly, built on first use when None
 
     # -- constructors
 
@@ -617,15 +636,15 @@ class AlgebraicReal:
         ``enc.multiplicity``: the enclosure isolates one root of that factor,
         while a root of another factor may lie inside it.
         """
-        for mult, factor in squarefree_decomposition(clear_denominators(p)):
+        for mult, factor, chain in _squarefree_with_chains(clear_denominators(p)):
             if mult == enc.multiplicity:
-                return AlgebraicReal(factor, enc.lo, enc.hi)
+                return AlgebraicReal(factor, enc.lo, enc.hi, chain)
         raise ValueError(f"no root of multiplicity {enc.multiplicity}")
 
     @staticmethod
     def dominant_root(p, width=Fraction(1, 10**6)) -> "AlgebraicReal":
-        enc, factor = _dominant_root_and_factor(p, width)
-        return AlgebraicReal(factor, enc.lo, enc.hi)
+        enc, factor, chain = _dominant_root_and_factor(p, width)
+        return AlgebraicReal(factor, enc.lo, enc.hi, chain)
 
     # -- basics
 

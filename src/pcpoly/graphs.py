@@ -20,6 +20,52 @@ class GraphError(ValueError):
     pass
 
 
+@cache
+def _bit_matrix_masks(size: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(diagonal, transpose steps) of a size x size bit matrix stored row-major.
+
+    ``size`` is a power of two and bit i*size + j holds entry (i, j).  Step
+    (d, mask) swaps each bit in ``mask`` with the bit d above it: for block
+    side s = size/2, ..., 1 it exchanges the entries (i, j) and (i + s, j - s)
+    with bit s clear in i and set in j (Warren, Hacker's Delight, 7-3).
+    """
+    diagonal = sum(1 << (i * size + i) for i in range(size))
+    steps = []
+    s = size >> 1
+    while s:
+        columns = sum(1 << j for j in range(size) if j & s)
+        mask = sum(columns << (i * size) for i in range(size) if not i & s)
+        steps.append((s * (size - 1), mask))
+        s >>= 1
+    return diagonal, tuple(steps)
+
+
+def _valid_rows(adj: Sequence[int]) -> bool:
+    """True iff rows ``adj`` are in range, loopless and symmetric.
+
+    Packs the rows into one integer, padded to a power-of-two side of at
+    least 8, and compares it with its transpose, so the cost is a few
+    whole-matrix operations rather than one step per edge.
+    """
+    n = len(adj)
+    if min(adj) < 0 or max(adj) >> n:
+        return False
+    size = max(8, 1 << (n - 1).bit_length())
+    if size == 8:
+        data = bytes(adj)
+    else:
+        data = b"".join([row.to_bytes(size // 8, "little") for row in adj])
+    packed = int.from_bytes(data, "little")
+    diagonal, steps = _bit_matrix_masks(size)
+    if packed & diagonal:
+        return False
+    t = packed
+    for d, mask in steps:
+        x = (t ^ (t >> d)) & mask
+        t ^= x ^ (x << d)
+    return t == packed
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -30,15 +76,17 @@ class Graph:
             raise GraphError("graph needs at least one vertex")
         if len(self.adj) != self.n:
             raise GraphError("adjacency row count mismatch")
+        if _valid_rows(self.adj):
+            return
+        # name the first fault
         full = (1 << self.n) - 1
         for i, row in enumerate(self.adj):
             if row & ~full:
                 raise GraphError("adjacency bit outside vertex range")
             if row >> i & 1:
                 raise GraphError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for_row = self.adj[i]
-            m = for_row
+        for i, row in enumerate(self.adj):
+            m = row
             while m:
                 b = m & -m
                 j = b.bit_length() - 1
@@ -371,23 +419,29 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
+def line_rows(adj: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the line graph, on the edges in ``edge_list`` order.
+
+    Two edges are adjacent iff they share an endpoint: the edges at each
+    vertex form a clique.  Any number of edges; an edgeless graph gives no
+    rows.
+    """
+    edges = edge_list(adj)
+    at = [0] * len(adj)  # at[v]: the edges with endpoint v, as a bitset
+    for e, (u, v) in enumerate(edges):
+        at[u] |= 1 << e
+        at[v] |= 1 << e
+    return tuple((at[u] | at[v]) ^ (1 << e) for e, (u, v) in enumerate(edges))
+
+
 def line_graph(g: Graph) -> Graph:
     """Graph on the edges of ``g``, adjacent iff the edges share an endpoint."""
-    edges = g.edges()
-    m = len(edges)
+    m = g.edge_count
     if m > MAX_VERTICES:
         raise GraphError(f"line graph needs {m} vertices, exceeding {MAX_VERTICES}")
     if m == 0:
         raise GraphError("line graph of an edgeless graph is empty")
-    adj = [0] * m
-    for a in range(m):
-        ua, va = edges[a]
-        for b in range(a + 1, m):
-            ub, vb = edges[b]
-            if ua in (ub, vb) or va in (ub, vb):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return Graph(m, tuple(adj))
+    return Graph(m, line_rows(g.adj))
 
 
 def graph_union(g1: Graph, g2: Graph) -> Graph:

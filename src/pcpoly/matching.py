@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliquepoly import clique_counts, independence_polynomial, pc_poly_from_counts
+from .cliquepoly import independence_counts, pc_poly_from_counts
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
     RootEnclosure,
     _sign_at,
+    _squarefree_with_chains,
     count_roots_halfopen,
     dominant_real_root,
-    squarefree_part,
-    sturm_chain,
     trim,
 )
-from .graphs import Graph, complement_adj, edge_list, line_graph
+from .graphs import Graph, edge_list, line_rows
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,11 @@ def _matching_and_t(
     """(MatchingPair, enclosure of t(G) or None) with one matching and one clique count.
 
     The matching counts are asserted equal to the independence polynomial of
-    L(G), which is the clique polynomial of co-L(G).  With a ``width``, the
-    largest root t of mu is enclosed and t^2 is asserted to be the growth rate
-    of co-L(G), whose recurrence polynomial comes from that same tuple.
+    L(G), which is the clique polynomial of co-L(G); it is counted on the
+    rows of L(G) with no ``Graph`` built, so G may have more than 64 edges.
+    With a ``width``, the largest root t of mu is enclosed and t^2 is
+    asserted to be the growth rate of co-L(G), whose recurrence polynomial
+    comes from that same tuple.
     """
     counts = tuple(matching_counts(g))
     n = g.n
@@ -119,19 +120,23 @@ def _matching_and_t(
     pair = MatchingPair(trim(mu), counts)
     if not g.edge_count:
         return pair, None
-    line_ind = independence_polynomial(line_graph(g))
+    rows = line_rows(g.adj)
+    line_ind = tuple(independence_counts(rows, len(rows)))
     assert counts == line_ind, "matching counts must match L(G) independence"
     if width is None:
         return pair, None
     enc = dominant_real_root(pair.mu, width)
     lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
     # the largest root of pc lies in [lo2, hi2] iff pc has a root there and
-    # none above hi2: two exact Sturm counts, the root itself never isolated
+    # none above hi2: exact Sturm counts on the chains of pc's squarefree
+    # factors (a finite end needs a squarefree head), the root never isolated
     pc = pc_poly_from_counts(line_ind)
-    chain = sturm_chain(squarefree_part(pc))
-    assert (_sign_at(pc, lo2) == 0 or count_roots_halfopen(chain, lo2, hi2) >= 1) and (
-        count_roots_halfopen(chain, hi2, None) == 0
-    ), "t^2 must be the complement line-graph growth rate"
+    chains = [chain for _, _, chain in _squarefree_with_chains(pc)]
+    assert (
+        _sign_at(pc, lo2) == 0 or any(count_roots_halfopen(c, lo2, hi2) for c in chains)
+    ) and not any(count_roots_halfopen(c, hi2, None) for c in chains), (
+        "t^2 must be the complement line-graph growth rate"
+    )
     return pair, enc
 
 
@@ -268,7 +273,7 @@ def hat_identity_holds(adj, partitions, hat) -> bool:
     """
     n = len(adj)
     lifted = [0] * (n + 1)  # x^n I(1/x): x^(n - j) takes the x^j coefficient of I
-    for j, c in enumerate(clique_counts(complement_adj(hat), len(hat))):
+    for j, c in enumerate(independence_counts(hat, len(hat))):
         lifted[n - j] = c
     return trim(partitions) == trim(lifted)
 

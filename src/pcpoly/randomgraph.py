@@ -113,8 +113,8 @@ def beta_random(n: int, p, width: Fraction = DEFAULT_WIDTH):
         enc = RootEnclosure(Fraction(1), Fraction(1), n)
         root = AlgebraicReal.from_rational(1)
     else:
-        enc, factor = _dominant_root_and_factor(rpc.poly, width)
-        root = AlgebraicReal(factor, enc.lo, enc.hi)
+        enc, factor, chain = _dominant_root_and_factor(rpc.poly, width)
+        root = AlgebraicReal(factor, enc.lo, enc.hi, chain)
     closed = None
     if n <= 5:
         closed = _closed_form_interval(n, p, min(width / 8, Fraction(1, 10**16)))

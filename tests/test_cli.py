@@ -1,6 +1,7 @@
 """Command-line surface: verbs parse, outputs are machine-readable."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,14 @@ def test_matching_verb_keeps_line_graph_check(capsys, monkeypatch):
     monkeypatch.setattr(matching, "matching_counts_from_adj", one_edge_too_many)
     with pytest.raises(AssertionError, match="L\\(G\\) independence"):
         main(["matching", "C10"])
+
+
+def test_matching_verb_past_64_edges(capsys):
+    # the line-graph check runs on rows, so L(K12) with 66 vertices is no Graph to refuse
+    code, payload = _run_json(capsys, "matching", "K12")
+    assert code == 0 and "t_largest" in payload
+    perfect = [1, 1, 3, 15, 105, 945, 10395]  # (2k - 1)!!
+    assert payload["generating"] == [math.comb(12, 2 * k) * perfect[k] for k in range(7)]
 
 
 def test_survey_dump(capsys):

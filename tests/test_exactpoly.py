@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcpoly import exactpoly
-from pcpoly.cliquepoly import pc_polynomial
+from pcpoly.cliquepoly import clique_counts, pc_poly_from_counts, pc_polynomial
 from pcpoly.exactpoly import (
     AlgebraicReal,
     QuadSurd,
@@ -33,7 +34,7 @@ from pcpoly.exactpoly import (
     sturm_chain,
     trim,
 )
-from pcpoly.graphs import from_edges
+from pcpoly.graphs import from_edges, graph_classes
 from pcpoly.matching import matching_polynomials
 
 
@@ -204,6 +205,62 @@ def test_count_nonreal():
     assert count_nonreal_roots((-1, 3, -3, 1)) == 0
     assert count_nonreal_roots((1, 0, 1)) == 2
     assert count_nonreal_roots((1, -4, 6, -100, 1)) == 2
+
+
+def _yun_nonreal(p):
+    """Degree minus the real roots counted per Yun factor, times its multiplicity."""
+    real = sum(mult * count_roots_halfopen(sturm_chain(factor), None, None)
+               for mult, factor in squarefree_decomposition(p))
+    return degree(p) - real
+
+
+def test_count_nonreal_matches_yun_on_repeated_factors():
+    rng = random.Random(20261019)
+
+    def rand_poly():
+        return trim([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)])
+
+    for _ in range(150):
+        f, g = rand_poly(), rand_poly()
+        for p in (mul(mul(f, f), g), mul(mul(mul(f, f), f), mul(g, g))):
+            assert count_nonreal_roots(p) == _yun_nonreal(p)
+    profiles = {tuple(clique_counts(rows, 6)) for rows, _ in graph_classes(6)}
+    assert len(profiles) == 54
+    for counts in profiles:
+        pc = pc_poly_from_counts(counts)
+        assert count_nonreal_roots(pc) == _yun_nonreal(pc)
+
+
+def _count_calls(monkeypatch, names):
+    calls = Counter()
+    for name in names:
+        original = getattr(exactpoly, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(exactpoly, name, counted)
+    return calls
+
+
+def test_one_remainder_sequence_per_squarefree_polynomial(monkeypatch):
+    calls = _count_calls(monkeypatch, ("gcd_int", "sturm_chain", "squarefree_decomposition"))
+    p = (1, 3, -4, 0, 7)  # squarefree, two real roots
+    top = dominant_real_root(p)
+    assert calls == {"sturm_chain": 1}
+    calls.clear()
+    assert count_nonreal_roots(p) == 2 and calls == {"sturm_chain": 1}
+    calls.clear()
+    alg = AlgebraicReal.dominant_root(p)
+    assert calls == {"sturm_chain": 1}
+    assert alg.compare_fraction(top.lo - 1) == 1  # reuses the stored chain
+    assert calls == {"sturm_chain": 1}
+    assert alg._chain == sturm_chain(alg.poly)
+    # (x^2 - 2)^3 (x + 1): one chain per iterated gcd, no gcd_int
+    calls.clear()
+    q = mul(mul(mul((-2, 0, 1), (-2, 0, 1)), (-2, 0, 1)), (1, 1))
+    assert count_nonreal_roots(q) == 0 and calls == {"sturm_chain": 3}
 
 
 def test_random_total_count_invariant():

@@ -116,13 +116,41 @@ def test_edge_list_roundtrip():
         parse_graph("65; 0 1", "edge-list")
 
 
+def _fault(n, adj):
+    with pytest.raises(GraphError) as info:
+        Graph(n, adj)
+    return str(info.value)
+
+
 def test_validation():
-    with pytest.raises(GraphError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(GraphError):
-        Graph(1, (1,))  # loop
-    with pytest.raises(GraphError):
-        Graph(0, ())
+    assert _fault(2, (1, 0)) == "self-loop at vertex 0"
+    assert _fault(1, (1,)) == "self-loop at vertex 0"
+    assert _fault(3, (0, 0b110, 0b010)) == "self-loop at vertex 1"
+    assert _fault(2, (0b10, 0)) == "asymmetric edge (0, 1)"
+    assert _fault(3, (0b010, 0b101, 0b000)) == "asymmetric edge (1, 2)"
+    assert _fault(2, (0b100, 0)) == "adjacency bit outside vertex range"
+    assert _fault(2, (-1, 0)) == "adjacency bit outside vertex range"
+    assert _fault(2, (0,)) == "adjacency row count mismatch"
+    assert _fault(0, ()) == "graph needs at least one vertex"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 64])
+def test_validation_of_single_bit_faults(n):
+    # one flipped bit in a valid matrix is caught and named like the bit-by-bit scan names it
+    rng = random.Random(n)
+    for _ in range(20):
+        g = graph_from_edge_mask(n, rng.getrandbits(len(edge_slots(n))), edge_slots(n))
+        assert Graph(n, g.adj) == g
+        i, j = rng.randrange(n), rng.randrange(n)
+        adj = list(g.adj)
+        adj[i] ^= 1 << j
+        if i == j:
+            expected = f"self-loop at vertex {i}"
+        elif adj[i] >> j & 1:
+            expected = f"asymmetric edge ({i}, {j})"
+        else:
+            expected = f"asymmetric edge ({j}, {i})"
+        assert _fault(n, tuple(adj)) == expected
 
 
 def test_complement():
