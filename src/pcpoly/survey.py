@@ -29,6 +29,13 @@ row per labelled graph, and ``census_adjoint_check`` checks the hat graph,
 which depends on the vertex order, while its gamma <= t^2 check runs on the
 classes.
 
+The extremal and planar censuses compare each verdict with targets per edge
+count k, the predicted extremes, which depend on n alone.  Like the classes
+they are built once per process and n, on first use
+(:func:`_prepare_extremal_targets`, :func:`_prepare_planar_targets`), and
+their construction checks run in that build.  The verdict cache, the events
+and the result belong to one call and are never reused (DECISIONS.md, D9).
+
 ``survey_nonreal`` and ``census_extremal_check`` accept a ``threads``
 argument and ignore it: the benchmark harness passes it positionally.
 """
@@ -280,8 +287,7 @@ def _decide_beta(counts, width):
 
 def average_beta(n: int, width: Fraction = Fraction(1, 10**9)):
     """Interval for the mean growth rate over all labelled graphs on n vertices."""
-    if not 1 <= n <= 6:
-        raise ValueError("average supported for 1 <= n <= 6")
+    _check_size(n)
     lo = hi = Fraction(0)
     for counts, graphs in _census(graph_classes(n), _visit_profile).items():
         enc = _decide_beta(counts, width)
@@ -295,8 +301,14 @@ def average_beta(n: int, width: Fraction = Fraction(1, 10**9)):
 # extremal census (maximum and minimum per edge count)
 
 
+@cache
 def _prepare_extremal_targets(n: int):
-    """Per-k data needed to classify every graph against both extremes."""
+    """Per-k data needed to classify every graph against both extremes.
+
+    Built once per process and n, on first use; the censuses share it and
+    only read it.  A comparison may narrow a target's isolating interval,
+    which leaves the number it isolates unchanged (DECISIONS.md, D9).
+    """
     targets = {}
     for k in range(n * (n - 1) // 2 + 1):
         pc_star = max_beta_pc(n, k)
@@ -570,7 +582,9 @@ def census_adjoint_check(n: int) -> dict:
     }
 
 
+@cache
 def _prepare_planar_targets(n: int):
+    """Per-k planar minimum and maximum, built and shared like the extremal targets."""
     targets = {}
     for k in range(min(n * (n - 1) // 2, max(3 * n - 6, 1)) + 1):
         try:

@@ -133,6 +133,7 @@ def test_survey_extremal_verb(capsys, monkeypatch):
         (["beta", "Q7"], "unknown graph name: 'Q7'"),
         (["survey", "nonreal", "9"], "1 <= n <= 7"),
         (["matching", "K20"], "capped at 19 vertices"),
+        (["survey", "average", "8"], "census supported for 1 <= n <= 7"),
     ],
 )
 def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
@@ -229,6 +230,15 @@ def test_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(pcpoly.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "pcpoly", "beta", "K3", "--format", "json"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"approx": 1.0, "hi": "1", "lo": "1", "multiplicity": 3}
 
 
 def test_spectral_verb(capsys):

@@ -170,6 +170,77 @@ def test_keyed_census_outputs_pinned_n6():
     }
 
 
+def test_average_beta_n7_pinned():
+    lo, hi = average_beta(7)
+    assert (lo, hi) == (
+        F(45347285677685359, 9007199254740992), F(362778285469107901, 72057594037927936)
+    )
+    assert hi - lo <= F(1, 10**9)
+    assert abs(float((lo + hi) / 2) - 5.0345601) < 1e-7
+
+
+def _clear_targets():
+    survey._prepare_extremal_targets.cache_clear()
+    survey._prepare_planar_targets.cache_clear()
+
+
+def _counted(calls, fn, original):
+    def counted(*args):
+        calls[fn] += 1
+        return original(*args)
+
+    return counted
+
+
+def test_targets_are_built_once_per_process(monkeypatch):
+    calls = Counter()
+    for fn in ("max_beta_pc", "min_beta_graph", "planar_extremes", "_target"):
+        monkeypatch.setattr(survey, fn, _counted(calls, fn, getattr(survey, fn)))
+    dominant_root = AlgebraicReal.dominant_root
+
+    def target_root(p, width=F(1, 10**6)):
+        if width == survey._TARGET_WIDTH:  # the censuses isolate graphs' roots wider
+            calls["target dominant_root"] += 1
+        return dominant_root(p, width)
+
+    monkeypatch.setattr(AlgebraicReal, "dominant_root", staticmethod(target_root))
+    _clear_targets()
+    census_extremal_check(6)
+    census_planar_check(5)
+    assert calls["max_beta_pc"] == 16 and calls["min_beta_graph"] == 6
+    assert calls["planar_extremes"] and calls["target dominant_root"]
+    calls.clear()
+    census_extremal_check(6)
+    census_planar_check(5)
+    assert calls == Counter()
+
+
+def test_shared_targets_leave_results_unchanged():
+    runs = [(census_extremal_check, n) for n in (5, 6, 5, 6, 7)]
+    runs += [(census_planar_check, n) for n in (5, 6, 5)]
+    _clear_targets()
+    shared = [census(n) for census, n in runs]
+    fresh = []
+    for census, n in runs:
+        _clear_targets()
+        fresh.append(census(n))
+    assert shared == fresh
+
+
+def test_target_construction_checks_run_on_first_build(monkeypatch):
+    from pcpoly import extremal
+
+    def refuse(g, pred):
+        raise AssertionError("construction check ran")
+
+    _clear_targets()
+    monkeypatch.setattr(extremal, "_assert_is_beta", refuse)
+    with pytest.raises(AssertionError, match="construction check ran"):
+        census_extremal_check(6)
+    with pytest.raises(AssertionError, match="construction check ran"):
+        census_planar_check(5)
+
+
 def _lll_key(g):
     return g.max_degree(), clique_profile(complement(g)).counts
 
@@ -185,23 +256,14 @@ def _adjoint_key(g):
 @pytest.mark.parametrize("name", sorted(KEYED_CENSUSES))
 def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     calls = Counter()
-
-    def count(fn, original):
-        def counted(*args):
-            calls[fn] += 1
-            return original(*args)
-
-        return counted
-
-    # the targets per edge count are prepared before anything is counted
-    for prepare in ("_prepare_extremal_targets", "_prepare_planar_targets"):
-        targets = getattr(survey, prepare)(5)
-        monkeypatch.setattr(survey, prepare, lambda n, _targets=targets: _targets)
+    # the targets per edge count are built once per process, before anything is counted
+    survey._prepare_extremal_targets(5)
+    survey._prepare_planar_targets(5)
     for fn in ("count_nonreal_roots", "dominant_real_root", "descartes_no_root_above"):
-        monkeypatch.setattr(survey, fn, count(fn, getattr(survey, fn)))
+        monkeypatch.setattr(survey, fn, _counted(calls, fn, getattr(survey, fn)))
     monkeypatch.setattr(
         AlgebraicReal, "dominant_root",
-        staticmethod(count("dominant_root", AlgebraicReal.dominant_root)),
+        staticmethod(_counted(calls, "dominant_root", AlgebraicReal.dominant_root)),
     )
     KEYED_CENSUSES[name]()
     if name in ("matching", "adjoint"):
