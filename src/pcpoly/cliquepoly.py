@@ -1,11 +1,11 @@
 """Clique counting and the unweighted clique-type polynomials.
 
 Clique counts come from one memoised vertex-deletion recursion with a fixed
-work bound (``clique_counts``).  On top of them this module provides the
-clique profile, the four clique-type polynomials, the monoid
-growth rate beta(G) as a certified enclosure, the hard-core occupancy
-fraction, I(G, -1) with the decycling number, and the adjacency spectral
-radius, all in exact arithmetic.
+work bound (``packed_clique_sum``), which the weighted sums of ``weighted``
+share.  On top of the counts this module provides the clique profile, the
+four clique-type polynomials, the monoid growth rate beta(G) as a certified
+enclosure, the hard-core occupancy fraction, I(G, -1) with the decycling
+number, and the adjacency spectral radius, all in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -52,54 +52,65 @@ class CliqueProfile:
         return sum(self.counts)
 
 
-CLIQUE_MEMO_LIMIT = 1 << 20  # subproblems per clique_counts call
+CLIQUE_MEMO_LIMIT = 1 << 20  # work bound of every clique sum; DECISIONS.md D5
 
 
-def _packed_clique_poly(p: int, adj, shift: int, memo: dict) -> int:
-    """Clique polynomial of the subgraph induced on ``p``, limbs packed.
+def unpack_limbs(packed: int, shift: int) -> list[int]:
+    """Coefficients of a polynomial from its value at 2^shift, lowest first.
 
-    f(P) = f(P - v) + x f(P & N(v)) with v the lowest vertex of P; the
-    coefficient of x^k sits in limb k, ``shift`` bits wide.  ``memo`` holds
-    f(0) = 1 on entry and every subproblem solved so far.
+    Each limb is read as a signed ``shift``-bit number, so the coefficients
+    may be negative but must satisfy |c| < 2^(shift-1).  Trailing zero
+    coefficients are dropped.
+    """
+    half = 1 << (shift - 1)
+    limb = (1 << shift) - 1
+    coeffs = []
+    while packed:
+        c = ((packed & limb) ^ half) - half
+        coeffs.append(c)
+        packed = (packed - c) >> shift
+    return coeffs
+
+
+def packed_clique_sum(p: int, adj, terms, memo: dict) -> int:
+    """Sum over the cliques C of the subgraph induced on ``p`` of prod_{v in C} terms[v].
+
+    f(P) = f(P - v) + terms[v] f(P & N(v)) with v the lowest vertex of P
+    (Hoede & Li, Discrete Math. 125, 1994), memoised on P, so cliques are
+    summed without being visited one by one.  ``terms[v]`` is vertex v's
+    monomial evaluated at 2^shift, so the result packs one coefficient per
+    limb.  ``memo`` holds f(0) = 1 on entry and every subproblem solved so
+    far; past CLIQUE_MEMO_LIMIT subproblems it raises ValueError, which bounds
+    the time and memory on any input.
     """
     got = memo.get(p)
     if got is not None:
         return got
     b = p & -p
     rest = p ^ b
-    val = _packed_clique_poly(rest, adj, shift, memo) + (
-        _packed_clique_poly(rest & adj[b.bit_length() - 1], adj, shift, memo) << shift
-    )
+    v = b.bit_length() - 1
+    val = packed_clique_sum(rest, adj, terms, memo)
+    val += terms[v] * packed_clique_sum(rest & adj[v], adj, terms, memo)
     memo[p] = val
     if len(memo) > CLIQUE_MEMO_LIMIT:
         raise ValueError(
-            f"clique counting needs more than {CLIQUE_MEMO_LIMIT} subproblems on this graph"
+            f"clique sum needs more than {CLIQUE_MEMO_LIMIT} subproblems on this graph"
         )
     return val
 
 
 def clique_counts(adj: tuple[int, ...], n: int, within: int | None = None) -> list[int]:
-    """Clique counts (c_0 = 1, c_1, ..., c_omega) by vertex-deletion recursion.
+    """Clique counts (c_0 = 1, c_1, ..., c_omega) by :func:`packed_clique_sum`.
 
-    Uses C(G) = C(G - v) + x C(G[N(v)]) (Hoede & Li, Discrete Math. 125, 1994),
-    memoised on the vertex set for the length of one call, so cliques are
-    counted without being visited one by one.  Every count is at most
-    C(n, k) < 2^(n+1), so limbs n+1 bits wide never carry.  With a vertex
-    mask ``within``, the counts are those of the induced subgraph on it.
-
-    Raises ValueError when the recursion needs more than CLIQUE_MEMO_LIMIT
-    subproblems, which bounds its time and memory on any input.
+    Every vertex term is x; every count is at most C(n, k) < 2^(n+1), so
+    limbs n+2 bits wide hold them.  With a vertex mask ``within``, the counts
+    are those of the induced subgraph on it.  Raises ValueError past
+    CLIQUE_MEMO_LIMIT subproblems.
     """
     if within is None:
         within = (1 << n) - 1
-    shift = n + 1
-    packed = _packed_clique_poly(within, adj, shift, {0: 1})
-    limb = (1 << shift) - 1
-    counts = []
-    while packed:
-        counts.append(packed & limb)
-        packed >>= shift
-    return counts
+    shift = n + 2
+    return unpack_limbs(packed_clique_sum(within, adj, [1 << shift] * n, {0: 1}), shift)
 
 
 def independence_counts(adj: tuple[int, ...], n: int) -> list[int]:

@@ -30,6 +30,7 @@ from .graphs import (
     complete_multipartite,
     empty_graph,
     from_edges,
+    parse_named,
 )
 
 Predicted = object  # Fraction | QuadSurd | RootEnclosure
@@ -344,8 +345,6 @@ def planar_extremes(n: int, k: int):
         raise ValueError("bad parameters")
     if (n, k) in _SPECIAL_PLANAR:
         name, val = _SPECIAL_PLANAR[(n, k)]
-        from .graphs import parse_named
-
         g = parse_named(name)
         return PlanarExtremes(val, val, g, g)
     if n < 3 or k <= 2:

@@ -3,16 +3,18 @@
 The matching-generating polynomial is computed by a memoised vertex-deletion
 recursion and cross-checked against the independence polynomial of the line
 graph; the adjoint polynomial counts partitions of the vertex set into
-cliques and is checked exactly against the independence polynomial of the
-derived edge-conflict graph.
+cliques by a memoised recursion on the remaining vertex set and is checked
+exactly against the independence polynomial of the derived edge-conflict
+graph.  Both pack their counts into one integer like the clique counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliquepoly import independence_counts, pc_poly_from_counts
+from .cliquepoly import CLIQUE_MEMO_LIMIT, independence_counts, pc_poly_from_counts, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
@@ -38,15 +40,15 @@ MATCHING_MAX_VERTICES = 19  # K_n, the worst case, needs F(n+2) subsets; DECISIO
 
 
 def _limb_bits(n: int) -> int:
-    """Bit length of the telephone number T(n), the number of matchings of K_n.
+    """One bit more than the telephone number T(n), the number of matchings of K_n.
 
-    Every matching count of an n-vertex graph is at most T(n), so limbs this
-    wide never carry.
+    Every matching count of an n-vertex graph is at most T(n), so
+    :func:`unpack_limbs` reads limbs this wide back exactly.
     """
     prev, cur = 1, 1  # T(0), T(1)
     for k in range(1, n):
         prev, cur = cur, cur + k * prev
-    return cur.bit_length()
+    return cur.bit_length() + 1
 
 
 def _packed_matching_poly(p: int, adj, shift: int, memo: dict) -> int:
@@ -86,13 +88,7 @@ def matching_counts_from_adj(adj, n: int) -> list[int]:
             f"matching counts are capped at {MATCHING_MAX_VERTICES} vertices"
         )
     shift = _limb_bits(n)
-    packed = _packed_matching_poly((1 << n) - 1, adj, shift, {0: 1})
-    limb = (1 << shift) - 1
-    counts = []
-    while packed:
-        counts.append(packed & limb)
-        packed >>= shift
-    return counts
+    return unpack_limbs(_packed_matching_poly((1 << n) - 1, adj, shift, {0: 1}), shift)
 
 
 def matching_counts(g: Graph) -> list[int]:
@@ -172,49 +168,49 @@ def t_squared_algebraic(g: Graph) -> AlgebraicReal:
 # adjoint polynomial
 
 
-PARTITION_VISIT_LIMIT = 1 << 20  # partitions per clique_partition_counts call; D5
+def _packed_partition_poly(r: int, adj, shift: int, memo: dict, steps: list) -> int:
+    """Clique-partition polynomial of the subgraph induced on ``r``, limbs packed.
+
+    a(R) = x sum a(R - C) over the cliques C of R through the lowest vertex
+    of R, memoised on R; the number of partitions into k cliques sits in
+    limb k, ``shift`` bits wide.  ``memo`` holds a(0) = 1 on entry, and
+    ``steps[0]`` counts the (subset, clique) steps left before ValueError.
+    """
+    got = memo.get(r)
+    if got is not None:
+        return got
+    b = r & -r
+    total = 0
+    stack = [(r ^ b, adj[b.bit_length() - 1] & r)]  # (R - C, common neighbours above C)
+    while stack:
+        left, cand = stack.pop()
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise ValueError(f"counting clique partitions needs more than "
+                             f"{CLIQUE_MEMO_LIMIT} steps on this graph")
+        total += _packed_partition_poly(left, adj, shift, memo, steps)
+        while cand:
+            ub = cand & -cand
+            cand ^= ub
+            stack.append((left ^ ub, cand & adj[ub.bit_length() - 1]))
+    memo[r] = val = total << shift
+    return val
 
 
 def clique_partition_counts(adj) -> list[int]:
     """a_k = number of partitions of the vertex set into exactly k nonempty cliques.
 
-    ``adj`` are the adjacency rows.  Visits the partitions one by one; raises
-    ValueError past PARTITION_VISIT_LIMIT of them (K11 has 678 570, K12
-    4 213 597).
+    ``adj`` are the adjacency rows.  The lowest vertex lies in one clique of
+    the partition, and the rest is partitioned recursively, memoised on the
+    remaining vertex set, so partitions are counted without being visited
+    one by one.  Every a_k is at most the Bell number B_n <= n!, so limbs one
+    bit wider than n! hold them.  Raises ValueError past CLIQUE_MEMO_LIMIT
+    (subset, clique) steps: K14 needs 805 353, K16 about 7.2 million.
     """
     n = len(adj)
-    counts = [0] * (n + 1)
-    left = PARTITION_VISIT_LIMIT
-
-    def rec(remaining: int, used: int):
-        nonlocal left
-        if remaining == 0:
-            counts[used] += 1
-            left -= 1
-            if left < 0:
-                raise ValueError(
-                    f"adjoint polynomial needs more than {PARTITION_VISIT_LIMIT} "
-                    "clique partitions on this graph"
-                )
-            return
-        v_bit = remaining & -remaining
-        v = v_bit.bit_length() - 1
-        rest = remaining ^ v_bit
-        # enumerate cliques containing v inside `remaining`
-        stack = [(v_bit, adj[v] & rest)]
-        while stack:
-            clique_mask, cand = stack.pop()
-            rec(remaining & ~clique_mask, used + 1)
-            m = cand
-            while m:
-                b = m & -m
-                u = b.bit_length() - 1
-                m ^= b
-                if (adj[u] & clique_mask) == clique_mask:
-                    stack.append((clique_mask | b, cand & adj[u] & ~((b << 1) - 1)))
-
-    rec((1 << n) - 1, 0)
-    return counts
+    shift = math.factorial(n).bit_length() + 1
+    packed = _packed_partition_poly((1 << n) - 1, adj, shift, {0: 1}, [CLIQUE_MEMO_LIMIT])
+    return unpack_limbs(packed, shift)
 
 
 def adjoint_polynomial(g: Graph) -> tuple:

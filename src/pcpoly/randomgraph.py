@@ -27,6 +27,7 @@ from .exactpoly import (
     add,
     clear_denominators,
     count_nonreal_roots,
+    descartes_no_root_above,
     eval_at,
     isolate_real_roots,
     mul,
@@ -183,13 +184,16 @@ def truncation_poly(t: int, b: Fraction) -> tuple:
 
 
 def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
-    """Bracket the largest positive roots by a descending multiplicative scan."""
-    brackets = []
+    """Bracket the largest positive roots by a descending multiplicative scan.
+
+    The scan starts at 3/2, so Descartes' rule must certify that no root lies
+    at or above it; otherwise ValueError, since the scan would miss that root.
+    """
     hi = Fraction(3, 2)
+    if not descartes_no_root_above(ipoly, hi):
+        raise ValueError("truncation polynomial may have a root at or above 3/2")
+    brackets = []
     sign_hi = _sign_at(ipoly, hi)
-    if sign_hi == 0:
-        hi += Fraction(1, 97)
-        sign_hi = _sign_at(ipoly, hi)
     lo = hi
     floor = Fraction(1, 10**7)
     while len(brackets) < how_many and lo > floor:

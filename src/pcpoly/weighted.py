@@ -12,16 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cliquepoly import beta
+from .cliquepoly import beta, packed_clique_sum, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
     RootEnclosure,
     clear_denominators,
     eval_at,
     isolate_real_roots,
+    real_root_count,
     trim,
 )
-from .graphs import Graph, complement
+from .graphs import Graph, complement, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -52,35 +53,26 @@ class FractionalPoly:
 
 
 def weighted_dependence(gw: WeightedGraph) -> FractionalPoly:
-    """Alternating clique sum with weights, as a polynomial in s = x^(1/L)."""
+    """Alternating clique sum with weights, as a polynomial in s = x^(1/L).
+
+    Runs the clique recursion of :func:`cliquepoly.packed_clique_sum` with
+    vertex term -alpha_v s^(e_v), e_v = L d_v.  With D the common denominator
+    of the alphas, substituting s = D u makes every term the integer monomial
+    -(D alpha_v) D^(e_v - 1) u^(e_v), so the sum is packed like the clique
+    counts; the coefficient of s^E is that of u^E divided by D^E.  Raises
+    ValueError past CLIQUE_MEMO_LIMIT subproblems.
+    """
     n = gw.graph.n
-    L = 1
-    for w in gw.d:
-        L = L * w.denominator // math.gcd(L, w.denominator)
+    L = math.lcm(*(w.denominator for w in gw.d))
+    D = math.lcm(*(a.denominator for a in gw.alpha))
     exps = [int(w * L) for w in gw.d]
-    terms: dict[int, Fraction] = {0: Fraction(1)}
-    adj = gw.graph.adj
-    stack = [(((1 << n) - 1), 0, Fraction(1), 0)] if n else []
-    while stack:
-        cand, size, weight, expo = stack.pop()
-        s1 = size + 1
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            w2 = weight * gw.alpha[v]
-            e2 = expo + exps[v]
-            sign = -1 if s1 % 2 else 1
-            terms[e2] = terms.get(e2, Fraction(0)) + sign * w2
-            nxt = cand & adj[v] & ~((b << 1) - 1)
-            if nxt:
-                stack.append((nxt, s1, w2, e2))
-    top = max(terms)
-    coeffs = [Fraction(0)] * (top + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
-    return FractionalPoly(L, trim(coeffs))
+    weights = [int(a * D) * D ** (e - 1) for a, e in zip(gw.alpha, exps)]
+    # |coefficient of u^E| <= sum over all vertex sets of their weight products
+    shift = math.prod(1 + w for w in weights).bit_length() + 1
+    terms = [-w << (e * shift) for w, e in zip(weights, exps)]
+    packed = packed_clique_sum((1 << n) - 1, gw.graph.adj, terms, {0: 1})
+    coeffs = unpack_limbs(packed, shift)
+    return FractionalPoly(L, trim(Fraction(c, D**e) for e, c in enumerate(coeffs)))
 
 
 def matrix_to_weighted_graph(matrix: Sequence[Sequence[Fraction]]) -> WeightedGraph:
@@ -237,10 +229,7 @@ def lll_check(g: Graph, probs) -> LLLResult:
     keep = [v for v in range(g.n) if probs[v] > 0]
     if not keep:
         return LLLResult(True, Fraction(1))
-    sub = complement(g)
-    from .graphs import induced_subgraph
-
-    comp_sub = induced_subgraph(sub, keep)  # complement graph on surviving events
+    comp_sub = induced_subgraph(complement(g), keep)  # complement graph on surviving events
     gw = WeightedGraph(
         comp_sub,
         tuple(probs[v] for v in keep),
@@ -248,8 +237,6 @@ def lll_check(g: Graph, probs) -> LLLResult:
     )
     iw = weighted_dependence(gw)  # polynomial in t (L = 1)
     ipoly = clear_denominators(iw.poly)
-    from .exactpoly import real_root_count
-
     # I_w(0) = 1, so positivity on [0, 1] fails iff a root lands in (0, 1]
     if real_root_count(ipoly, (Fraction(0), Fraction(1))) == 0:
         bound = eval_at(iw.poly, Fraction(1))

@@ -102,3 +102,25 @@ def matching_counts_recursive(n, edges):
         return memo[free]
 
     return list(solve(frozenset(range(n))))
+
+
+def weighted_clique_sum(n, edges, alpha, d):
+    """(L, ascending Fractions in s = x^(1/L)) of sum over cliques C of prod_{v in C} -alpha_v x^(d_v).
+
+    Cliques come from networkx clique enumeration, the empty clique adds 1,
+    and L is the common denominator of the exponents; no pcpoly code.
+    """
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    L = math.lcm(*(F(w).denominator for w in d))
+    terms = Counter({0: F(1)})
+    for clique in nx.enumerate_all_cliques(g):
+        exponent = sum(int(d[v] * L) for v in clique)
+        terms[exponent] += math.prod((-F(alpha[v]) for v in clique), start=F(1))
+    coeffs = [terms[e] for e in range(max(terms) + 1)]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return L, tuple(coeffs)

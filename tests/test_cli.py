@@ -164,10 +164,44 @@ def test_clique_work_bound_is_a_user_error(capsys):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("pcpoly: error: ")
 
 
-def test_adjoint_partition_bound_is_a_user_error(capsys):
-    # K14 has 190 899 322 partitions into cliques (the Bell number B14)
+def test_weighted_work_bound_is_a_user_error(capsys):
+    # the dependency graph is a perfect matching, so the weighted sum runs on
+    # the 48-vertex cocktail party above, past the subproblem bound
+    n, half = 48, 24
+    g = Graph(n, tuple(1 << (v + half) % n for v in range(n)))
     start = time.perf_counter()
-    assert main(["adjoint", "K14"]) == 2
+    assert main(["lll", to_graph6(g), "--fmt", "graph6", "--probs", *["1/100"] * n]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("pcpoly: error: ") and "clique sum" in lines[0]
+
+
+def test_lll_check_of_forty_independent_events(capsys):
+    # the weighted sum runs over the 2^40 cliques of the complement K40
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, "lll", "Kbar40", "--probs", *["1/100"] * 40)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and payload == {"feasible": True, "bound": str(F(99, 100) ** 40)}
+
+
+def test_adjoint_of_k14_counts_set_partitions(capsys):
+    # partitions of K14 into k cliques are its set partitions into k blocks
+    stirling = [1]  # S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)
+    for n in range(1, 15):
+        prev = stirling + [0]
+        stirling = [0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)]
+    code, payload = _run_json(capsys, "adjoint", "K14")
+    assert code == 0
+    assert payload["adjoint_ascending"] == [(-1) ** (14 - k) * s for k, s in enumerate(stirling)]
+    assert sum(stirling) == 190_899_322  # the Bell number B14
+
+
+def test_adjoint_partition_bound_is_a_user_error(capsys):
+    # K16 needs about 7.2 million (subset, clique) steps, past the 2^20 bound
+    start = time.perf_counter()
+    assert main(["adjoint", "K16"]) == 2
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

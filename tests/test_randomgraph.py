@@ -152,6 +152,13 @@ def test_truncation_poly_reverses_series():
     assert p[6] == 1 and p[5] == -1 and p[4] == F(1, 4) and p[3] == F(-1, 48)
 
 
+def test_ladder_scan_refuses_a_root_at_or_above_its_start():
+    # (x - 2)(2x - 1) and 2x - 3: the descending scan starts at 3/2
+    for ipoly in ((2, -5, 2), (-3, 2)):
+        with pytest.raises(ValueError, match="3/2"):
+            randomgraph._positive_roots_descending(ipoly, 1, F(1, 10**6))
+
+
 def test_ladder_limits_match_printed_values():
     printed = [
         F("0.672008"),

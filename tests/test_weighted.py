@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import weighted_clique_sum
 from pcpoly.cliquepoly import beta
 from pcpoly.exactpoly import count_nonreal_roots, clear_denominators
 from pcpoly.graphs import (
     complement,
+    edge_list,
     edge_slots,
     graph_from_edge_mask,
     graph_union,
@@ -48,6 +50,18 @@ def test_weighted_dependence_examples():
     k2k2 = graph_union(parse_graph("K2", "named"), parse_graph("K2", "named"))
     dep = weighted_dependence(WeightedGraph.uniform(k2k2, 1, F(1, 2)))
     assert dep.L == 2 and dep.poly == (F(1), F(-4), F(2))  # 1 - 4 s + 2 s^2
+
+
+def test_weighted_dependence_matches_networkx_clique_sum():
+    pytest.importorskip("networkx")
+    rng = random.Random(15)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        g = _random_graph(rng, n)
+        alpha = tuple(F(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(n))
+        d = tuple(F(rng.randint(1, 6), rng.choice((1, 1, 2, 3))) for _ in range(n))
+        dep = weighted_dependence(WeightedGraph(g, alpha, d))
+        assert (dep.L, dep.poly) == weighted_clique_sum(n, edge_list(g.adj), alpha, d)
 
 
 def test_mcmullen_examples():
