@@ -8,7 +8,8 @@ one shared denominator.  ``Fraction`` appears only at its boundary: the
 endpoints it returns, a rational root it hits, and the Fraction points that
 callers such as :class:`AlgebraicReal` pass in.  Every root bound produced
 here is a rational interval certified by exact sign evaluations (or an
-exact rational hit), so no floating point enters any result.
+exact rational hit), so no floating point enters any result.  Every
+question about where a largest root lies goes through :class:`DominantRoot`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 from functools import reduce
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
+# starting enclosure width of a largest root before a certified comparison refines it
+COMPARE_WIDTH = Fraction(1, 2**20)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +430,37 @@ def _bisect(p, a, b, d, wn, wd):
     return a, b, d
 
 
-def _refine_simple_root(p, chain, a, b, d, width):
+def _refine_simple_root(p, a, b, d, width):
     """Shrink (a/d, b/d] around the unique simple root of squarefree ``p``.
 
     Works on integer numerators over one denominator; only the returned
-    endpoints become Fractions.
+    endpoints become Fractions.  The root is simple and the only one in the
+    interval, so p has one sign on (lo, root) and the other on (root, hi]:
+    the sign of p at a point against its sign at hi tells on which side of
+    the root the point lies.
     """
     wn, wd = width.as_integer_ratio()
     exact = _try_rational_root(p, a, b, d)
     if exact is not None:
         return exact, exact
+    s_hi = _sign_nd(p, b, d)
+    if s_hi == 0:
+        hi = Fraction(b, d)
+        return hi, hi
     # move lo off an adjacent root without skipping over the enclosed one:
     # candidates lo + (hi - lo)/e for e = 4, 16, 64, ...
     if _sign_nd(p, a, d) == 0:
-        v_hi = _variations_nd(chain, b, d)
         e = 4
         while True:
             cn, cd = a * e + b - a, d * e
-            if _sign_nd(p, cn, cd) == 0:
+            s = _sign_nd(p, cn, cd)
+            if s == 0:
                 hit = Fraction(cn, cd)
                 return hit, hit
-            if _variations_nd(chain, cn, cd) - v_hi == 1:
+            if s != s_hi:
                 a, b, d = cn, b * e, cd
                 break
             e *= 4
-    if _sign_nd(p, b, d) == 0:
-        hi = Fraction(b, d)
-        return hi, hi
     # the widths run (b - a)/2^k d; the rational-root search is retried
     # once, at the first of them below 2 that is still wider than ``width``
     first_d = d
@@ -486,7 +493,7 @@ def _root_enclosures(factor, chain, mult, sqfull, width):
         if va == vb:
             continue
         if va - vb == 1:
-            lo, hi = _refine_simple_root(factor, chain, a, b, d, width)
+            lo, hi = _refine_simple_root(factor, a, b, d, width)
             if lo != hi:
                 lo, hi = _nudge_off_roots(factor, sqfull, lo, hi)
             yield RootEnclosure(lo, hi, mult)
@@ -498,7 +505,7 @@ def _root_enclosures(factor, chain, mult, sqfull, width):
 
 
 def _enclosures_per_factor(p, width):
-    """(factor, chain, lazy :func:`_root_enclosures` iterator) per squarefree factor of ``p``."""
+    """(factor, lazy :func:`_root_enclosures` iterator) per squarefree factor of ``p``."""
     ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
@@ -507,7 +514,7 @@ def _enclosures_per_factor(p, width):
     factors = _squarefree_with_chains(ip)
     # the product of the factors has the roots of ip; it serves the zero tests
     sqfull = reduce(mul, (factor for _, factor, _ in factors), (1,))
-    return [(factor, chain, _root_enclosures(factor, chain, mult, sqfull, width))
+    return [(factor, _root_enclosures(factor, chain, mult, sqfull, width))
             for mult, factor, chain in factors]
 
 
@@ -520,7 +527,7 @@ def isolate_real_roots(p, width=DEFAULT_WIDTH):
     (endpoints are nudged off roots of other factors).  Signs are taken by
     integer Horner (:func:`_sign_at`), so every decision is exact.
     """
-    out = [enc for _, _, encs in _enclosures_per_factor(p, width) for enc in encs]
+    out = [enc for _, encs in _enclosures_per_factor(p, width) for enc in encs]
     out.sort(key=lambda e: (e.lo, e.hi))
     return out
 
@@ -569,13 +576,13 @@ def dominant_real_root(p, width=DEFAULT_WIDTH) -> RootEnclosure:
 
 
 def _dominant_root_and_factor(p, width):
-    """(enclosure of the largest real root, the squarefree factor it is a root of, its chain)."""
+    """(enclosure of the largest real root, the squarefree factor it is a root of)."""
     best = None
-    for factor, chain, encs in _enclosures_per_factor(p, width):
+    for factor, encs in _enclosures_per_factor(p, width):
         top = next(encs, None)
         # on equal keys the later factor wins, like the stable sort in isolate_real_roots
         if top is not None and (best is None or (top.lo, top.hi) >= (best[0].lo, best[0].hi)):
-            best = top, factor, chain
+            best = top, factor
     if best is None:
         raise ValueError("polynomial has no real root")
     return best
@@ -609,17 +616,19 @@ def count_nonreal_roots(p) -> int:
 class AlgebraicReal:
     """A real algebraic number as (squarefree integer polynomial, isolating interval).
 
-    Comparisons are exact: intervals refine until disjoint, and equality is
-    certified through a common factor of the defining polynomials.
+    The number is the one root of ``poly`` in (lo, hi], or lo when lo = hi.
+    It is simple, so refining the interval or placing a rational against the
+    root needs only signs of ``poly`` (DECISIONS.md D10).  Comparisons are
+    exact: intervals refine until disjoint, and equality is certified through
+    a common factor of the defining polynomials.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_chain")
+    __slots__ = ("poly", "lo", "hi")
 
-    def __init__(self, poly, lo, hi, chain=None):
+    def __init__(self, poly, lo, hi):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain = chain  # Sturm chain of poly, built on first use when None
 
     # -- constructors
 
@@ -636,22 +645,17 @@ class AlgebraicReal:
         ``enc.multiplicity``: the enclosure isolates one root of that factor,
         while a root of another factor may lie inside it.
         """
-        for mult, factor, chain in _squarefree_with_chains(clear_denominators(p)):
+        for mult, factor in squarefree_decomposition(clear_denominators(p)):
             if mult == enc.multiplicity:
-                return AlgebraicReal(factor, enc.lo, enc.hi, chain)
+                return AlgebraicReal(factor, enc.lo, enc.hi)
         raise ValueError(f"no root of multiplicity {enc.multiplicity}")
 
     @staticmethod
     def dominant_root(p, width=Fraction(1, 10**6)) -> "AlgebraicReal":
-        enc, factor, chain = _dominant_root_and_factor(p, width)
-        return AlgebraicReal(factor, enc.lo, enc.hi, chain)
+        enc, factor = _dominant_root_and_factor(p, width)
+        return AlgebraicReal(factor, enc.lo, enc.hi)
 
     # -- basics
-
-    def chain(self):
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
 
     def is_rational(self) -> bool:
         return self.lo == self.hi
@@ -665,7 +669,7 @@ class AlgebraicReal:
         if self.hi - self.lo <= width:
             return
         self.lo, self.hi = _refine_simple_root(
-            self.poly, self.chain(), *_over_one_denominator(self.lo, self.hi), width)
+            self.poly, *_over_one_denominator(self.lo, self.hi), width)
 
     def enclosure(self, width, multiplicity=1) -> RootEnclosure:
         self.refine(width)
@@ -681,21 +685,21 @@ class AlgebraicReal:
         q = Fraction(q)
         if self.is_rational():
             return _sign(self.lo - q)
-        if q < self.lo:
-            return 1
+        if q <= self.lo:
+            return 1  # the root lies in (lo, hi]
         if q > self.hi:
             return -1
-        if _sign_at(self.poly, q) == 0:
-            # the interval holds exactly one root of poly on (lo, hi]
-            if q > self.lo:
-                self.lo = self.hi = q
-                return 0
-            return 1  # root at the excluded left endpoint; ours lies above
-        if count_roots_halfopen(self.chain(), q, self.hi) >= 1:
-            self.lo = q
-            return 1
-        self.hi = q
-        return -1
+        s = _sign_at(self.poly, q)
+        if s == 0:  # the one root of poly in (lo, hi]
+            self.lo = self.hi = q
+            return 0
+        # p changes sign at the simple root and nowhere else in (lo, hi],
+        # so p(q) and p(hi) agree iff q lies above it (p(hi) = 0 included)
+        if s == _sign_at(self.poly, self.hi):
+            self.hi = q
+            return -1
+        self.lo = q
+        return 1
 
     def compare(self, other: "AlgebraicReal") -> int:
         if other.is_rational():
@@ -765,6 +769,42 @@ def descartes_no_root_above(p, t) -> bool:
             work[j] += work[j + 1] * a
     lead = _sign(work[-1])
     return all(_sign(c) == lead for c in work if c != 0) and work[0] != 0
+
+
+class DominantRoot:
+    """Exact comparisons of the largest real root of a rational polynomial.
+
+    Every largest-root decision goes through :meth:`sign` (DECISIONS.md D7,
+    D10).  Each comparison first tries a certified prefilter on the side the
+    caller expects.  Only when the prefilter leaves it open is the root
+    isolated, by :meth:`AlgebraicReal.dominant_root` at ``COMPARE_WIDTH``, at
+    most once per polynomial.
+    """
+
+    def __init__(self, poly):
+        self.poly = clear_denominators(poly)  # integers, positive leading coefficient
+        self._root = None
+
+    def sign(self, target, expect: int) -> int:
+        """Exact sign of the root minus ``target``, a Fraction or an AlgebraicReal.
+
+        With ``expect`` -1, no root at or above the target's lower end
+        (Descartes) gives -1; with +1, a negative value at its upper end
+        gives +1.
+        """
+        if not isinstance(target, AlgebraicReal):
+            target = AlgebraicReal.from_rational(target)
+        if expect < 0 and descartes_no_root_above(self.poly, target.lo):
+            return -1
+        if expect > 0 and _sign_at(self.poly, target.hi) < 0:
+            return 1
+        if self._root is None:
+            self._root = AlgebraicReal.dominant_root(self.poly, COMPARE_WIDTH)
+        return self._root.compare(target)
+
+    def within(self, lo, hi) -> bool:
+        """Whether lo <= root <= hi, decided exactly."""
+        return self.sign(lo, 1) >= 0 and self.sign(hi, -1) <= 0
 
 
 # ---------------------------------------------------------------------------

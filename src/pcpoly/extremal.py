@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cliquepoly import beta, beta_algebraic, pc_polynomial
+from .cliquepoly import beta, pc_polynomial
 from .exactpoly import (
+    DominantRoot,
     QuadSurd,
     RatInterval,
+    RootEnclosure,
     dominant_real_root,
     is_root_surd,
     mul,
@@ -47,18 +49,19 @@ class ExtremalResult:
 def _assert_is_beta(g: Graph, pred) -> None:
     """Assert that the Fraction or QuadSurd ``pred`` is beta(g), or that the enclosure holds it.
 
-    Containment lo <= beta <= hi is decided exactly; an overlap test against
-    an enclosure of beta would also pass a rational point next to beta.
+    Every case is an exact sign from :class:`DominantRoot`.  Containment
+    lo <= beta <= hi is decided exactly; an overlap test against an
+    enclosure of beta would also pass a rational point next to beta.
     """
-    actual = beta_algebraic(g)
-    if isinstance(pred, Fraction):
-        assert actual.compare_fraction(pred) == 0, "predicted value is not beta"
-    elif isinstance(pred, QuadSurd):
-        assert is_root_surd(pc_polynomial(g), pred), "predicted value is not a root"
-        assert actual.compare(pred.to_algebraic()) == 0, "predicted value is not beta"
-    else:
-        assert actual.compare_fraction(pred.lo) >= 0, "predicted enclosure lies above beta"
-        assert actual.compare_fraction(pred.hi) <= 0, "predicted enclosure lies below beta"
+    pc = pc_polynomial(g)
+    beta_g = DominantRoot(pc)
+    if isinstance(pred, RootEnclosure):
+        assert beta_g.within(pred.lo, pred.hi), "predicted enclosure does not hold beta"
+        return
+    if isinstance(pred, QuadSurd):
+        assert is_root_surd(pc, pred), "predicted value is not a root"
+        pred = pred.to_algebraic()
+    assert beta_g.sign(pred, 1) == 0, "predicted value is not beta"
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,6 @@ def planar_extremes(n: int, k: int):
     lam_plus: Predicted = dominant_real_root(pc_plus)
     if k == 3 * n - 6:
         lam_plus = Fraction(n - 3)
-        assert beta_algebraic(g_plus).compare_fraction(lam_plus) == 0
     # minimum
     if k <= 2 * n - 4:
         lam_minus = QuadSurd.make(n, n * n - 4 * k, 2)

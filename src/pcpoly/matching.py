@@ -18,10 +18,8 @@ from .cliquepoly import CLIQUE_MEMO_LIMIT, independence_counts, pc_poly_from_cou
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
+    DominantRoot,
     RootEnclosure,
-    _sign_at,
-    _squarefree_with_chains,
-    count_roots_halfopen,
     dominant_real_root,
     trim,
 )
@@ -123,14 +121,7 @@ def _matching_and_t(
         return pair, None
     enc = dominant_real_root(pair.mu, width)
     lo2, hi2 = sorted((enc.lo * enc.lo, enc.hi * enc.hi))
-    # the largest root of pc lies in [lo2, hi2] iff pc has a root there and
-    # none above hi2: exact Sturm counts on the chains of pc's squarefree
-    # factors (a finite end needs a squarefree head), the root never isolated
-    pc = pc_poly_from_counts(line_ind)
-    chains = [chain for _, _, chain in _squarefree_with_chains(pc)]
-    assert (
-        _sign_at(pc, lo2) == 0 or any(count_roots_halfopen(c, lo2, hi2) for c in chains)
-    ) and not any(count_roots_halfopen(c, hi2, None) for c in chains), (
+    assert DominantRoot(pc_poly_from_counts(line_ind)).within(lo2, hi2), (
         "t^2 must be the complement line-graph growth rate"
     )
     return pair, enc

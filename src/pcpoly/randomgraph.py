@@ -17,10 +17,10 @@ from fractions import Fraction
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
+    DominantRoot,
     RatInterval,
     RootEnclosure,
     _bisect,
-    _dominant_root_and_factor,
     _div_exact_int,
     _over_one_denominator,
     _sign_at,
@@ -28,6 +28,7 @@ from .exactpoly import (
     clear_denominators,
     count_nonreal_roots,
     descartes_no_root_above,
+    dominant_real_root,
     eval_at,
     isolate_real_roots,
     mul,
@@ -106,22 +107,11 @@ def beta_random(n: int, p, width: Fraction = DEFAULT_WIDTH):
     interval arithmetic, and its interval must contain the dominant root.
     """
     rpc = pc_random(n, p)
-    p = rpc.p
-    if p == 0:
-        enc = RootEnclosure(Fraction(n), Fraction(n), 1)
-        root = AlgebraicReal.from_rational(n)
-    elif p == 1:
-        enc = RootEnclosure(Fraction(1), Fraction(1), n)
-        root = AlgebraicReal.from_rational(1)
-    else:
-        enc, factor, chain = _dominant_root_and_factor(rpc.poly, width)
-        root = AlgebraicReal(factor, enc.lo, enc.hi, chain)
+    enc = dominant_real_root(rpc.poly, width)
     closed = None
     if n <= 5:
-        closed = _closed_form_interval(n, p, min(width / 8, Fraction(1, 10**16)))
-        if closed.width:  # refine(0) never stops on an irrational root; compare is exact anyway
-            root.refine(closed.width)
-        assert root.compare_fraction(closed.lo) >= 0 and root.compare_fraction(closed.hi) <= 0, (
+        closed = _closed_form_interval(n, rpc.p, min(width / 8, Fraction(1, 10**16)))
+        assert DominantRoot(rpc.poly).within(closed.lo, closed.hi), (
             "closed form does not contain the dominant root"
         )
     return enc, closed
@@ -148,9 +138,9 @@ def random_root_ladder(n: int, p, r: int, width: Fraction = DEFAULT_WIDTH) -> Ro
     )
     # descending-order interlacing: beta_{i+1} < p * beta_i
     for low, high in zip(roots, roots[1:]):
-        scaled_hi = p * high.hi
-        # the roots are simple, so ipoly is squarefree and isolates each of them
-        assert low.hi < scaled_hi or AlgebraicReal(ipoly, low.lo, low.hi).compare_fraction(
+        # the roots are simple, so ipoly is squarefree and isolates each of them;
+        # a root below p * high.lo lies below p times the root that high encloses
+        assert AlgebraicReal(ipoly, low.lo, low.hi).compare_fraction(
             p * high.lo
         ) < 0, "domination chain violated"
     # inversion symmetry: x^n PC(p^(n-1)/x) = (-1)^n p^C(n,2) PC(x)

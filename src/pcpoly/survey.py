@@ -11,7 +11,9 @@ pairs that hands each to the census's ``visit(adj, verdict, events, weight)``:
   local-lemma census on (max degree, clique counts of the complement), for
   the matching census on (matching counts, max degree), and for the adjoint
   census on (matching counts, adjoint polynomial).  Every growth-rate
-  verdict is an exact sign from :class:`_DominantRoot`.
+  verdict is an exact sign of a largest root against a target, from
+  :class:`exactpoly.DominantRoot`, the one largest-root comparator of the
+  package (DECISIONS.md D7, D10).
 * ``events`` is a ``Counter`` to which the visit adds ``weight`` per
   hashable event: a violator's graph6, an equality, a CSV row.  The
   non-real and average censuses only count the profile and decide once per
@@ -55,13 +57,13 @@ from .cliquepoly import (
     pc_poly_from_counts,
 )
 from .exactpoly import (
+    COMPARE_WIDTH,
     AlgebraicReal,
+    DominantRoot,
     QuadSurd,
-    _sign_at,
     add,
     count_nonreal_roots,
     derivative,
-    descartes_no_root_above,
     dominant_real_root,
     eval_at,
     neg,
@@ -96,8 +98,6 @@ from .matching import (
 from .monoid import m_sequence, normal_form_counts
 from .transforms import threshold_vector_of
 
-# starting enclosure width of beta before a certified comparison refines it
-_COMPARE_WIDTH = Fraction(1, 2**20)
 # enclosure width of the predicted extremes the censuses compare against
 _TARGET_WIDTH = Fraction(1, 10**12)
 
@@ -133,36 +133,6 @@ def _visit_profile(adj, verdict, events, weight):
 
 def _edges(counts) -> int:
     return counts[2] if len(counts) > 2 else 0
-
-
-class _DominantRoot:
-    """Exact comparisons of the largest real root of a monic integer polynomial.
-
-    Each comparison first tries a certified prefilter on the side the caller
-    expects.  Only when the prefilter leaves it open is the root isolated, by
-    ``AlgebraicReal.dominant_root``, at most once per polynomial.
-    """
-
-    def __init__(self, poly):
-        self.poly = poly
-        self._root = None
-
-    def sign(self, target, expect: int) -> int:
-        """Exact sign of the root minus ``target``, a Fraction or an AlgebraicReal.
-
-        With ``expect`` -1, no root at or above the target's lower end
-        (Descartes) gives -1; with +1, a negative value at its upper end
-        gives +1.
-        """
-        if not isinstance(target, AlgebraicReal):
-            target = AlgebraicReal.from_rational(target)
-        if expect < 0 and descartes_no_root_above(self.poly, target.lo):
-            return -1
-        if expect > 0 and _sign_at(self.poly, target.hi) < 0:
-            return 1
-        if self._root is None:
-            self._root = AlgebraicReal.dominant_root(self.poly, _COMPARE_WIDTH)
-        return self._root.compare(target)
 
 
 def _target(pred, poly=None) -> AlgebraicReal:
@@ -332,7 +302,7 @@ def _decide_extremal(counts, targets) -> tuple[int, int]:
     """Exact signs of beta minus the maximum and minus the minimum at its k."""
     tgt = targets[_edges(counts)]
     pc = pc_poly_from_counts(counts)
-    root = _DominantRoot(pc)
+    root = DominantRoot(pc)
     # equal polynomials have equal largest roots
     to_max = 0 if pc == tgt["max_pc"] else root.sign(tgt["max"], -1)
     if len(counts) <= 3:
@@ -434,10 +404,9 @@ def _decide_matching(counts, delta, n: int):
     g = pc_poly_from_counts(counts)
     if count_nonreal_roots(g):
         return "nonreal"
-    t2 = _DominantRoot(g)
+    t2 = DominantRoot(g)
     ok = t2.sign(Fraction(4 * counts[1] - n, n), 1) >= 0 and (
-        delta <= 1
-        or t2.sign(Fraction(delta), 1) >= 0 and t2.sign(Fraction(4 * (delta - 1)), -1) <= 0
+        delta <= 1 or t2.within(Fraction(delta), Fraction(4 * (delta - 1)))
     )
     return None if ok else "bound"
 
@@ -467,7 +436,7 @@ def _decide_lll(d, comp_counts) -> bool:
     """True when beta(complement) exceeds d^d/(d-1)^(d-1) for max degree d."""
     # threshold >= (d-1)^(d-1)/d^d  <=>  beta(complement) <= d^d/(d-1)^(d-1)
     bound = Fraction(d**d, (d - 1) ** (d - 1))
-    return _DominantRoot(pc_poly_from_counts(comp_counts)).sign(bound, -1) > 0
+    return DominantRoot(pc_poly_from_counts(comp_counts)).sign(bound, -1) > 0
 
 
 def _visit_lll(adj, verdict, events, weight):
@@ -540,8 +509,8 @@ def census_monoid_check(n: int, maxlen: int = 8) -> list:
 
 def _decide_adjoint(counts, adjoint) -> bool:
     """True when gamma, the largest root of the adjoint polynomial, exceeds t^2."""
-    t2 = AlgebraicReal.dominant_root(pc_poly_from_counts(counts), _COMPARE_WIDTH)
-    return _DominantRoot(adjoint).sign(t2, -1) > 0
+    t2 = AlgebraicReal.dominant_root(pc_poly_from_counts(counts), COMPARE_WIDTH)
+    return DominantRoot(adjoint).sign(t2, -1) > 0
 
 
 def _visit_hat(adj, verdict, events, weight):
@@ -600,7 +569,7 @@ def _prepare_planar_targets(n: int):
 def _decide_planar(counts, targets) -> tuple[int, int]:
     """Exact signs of beta minus the planar minimum and minus the maximum at its k."""
     tgt = targets[_edges(counts)]
-    root = _DominantRoot(pc_poly_from_counts(counts))
+    root = DominantRoot(pc_poly_from_counts(counts))
     return root.sign(tgt["minus"], 1), root.sign(tgt["plus"], -1)
 
 

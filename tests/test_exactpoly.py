@@ -15,6 +15,7 @@ from pcpoly import exactpoly
 from pcpoly.cliquepoly import clique_counts, pc_poly_from_counts, pc_polynomial
 from pcpoly.exactpoly import (
     AlgebraicReal,
+    DominantRoot,
     QuadSurd,
     RatInterval,
     _sign_at,
@@ -254,9 +255,8 @@ def test_one_remainder_sequence_per_squarefree_polynomial(monkeypatch):
     calls.clear()
     alg = AlgebraicReal.dominant_root(p)
     assert calls == {"sturm_chain": 1}
-    assert alg.compare_fraction(top.lo - 1) == 1  # reuses the stored chain
+    assert alg.compare_fraction(top.lo - 1) == 1  # decided by signs, no chain
     assert calls == {"sturm_chain": 1}
-    assert alg._chain == sturm_chain(alg.poly)
     # (x^2 - 2)^3 (x + 1): one chain per iterated gcd, no gcd_int
     calls.clear()
     q = mul(mul(mul((-2, 0, 1), (-2, 0, 1)), (-2, 0, 1)), (1, 1))
@@ -314,6 +314,61 @@ def test_algebraic_compare():
     bigger = AlgebraicReal.dominant_root((-3, 0, 1))
     assert sqrt2.compare(bigger) < 0
     assert AlgebraicReal.from_rational(F(2)).compare(sqrt2) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys_with_real_roots(), st.sampled_from((F(1, 2**8), F(1, 2**24))))
+def test_compare_fraction_matches_the_exact_root(p, width):
+    sympy = pytest.importorskip("sympy")
+    for enc, root in zip(isolate_real_roots(p, width), sorted(set(_sympy_real_roots(p)))):
+        w = max(enc.width, F(1, 2**30))
+        points = {enc.lo, enc.hi, enc.midpoint, enc.lo + enc.width / 3, enc.hi - w / 2**20,
+                  enc.lo - w, enc.lo - w / 2**20, enc.hi + w, enc.hi + w / 2**20}
+        if root.is_Rational:
+            points.add(F(int(root.p), int(root.q)))
+        for q in points:
+            # a fresh number per point: each one starts from the isolating interval
+            alg = AlgebraicReal.from_enclosure(p, enc)
+            exact = sympy.Rational(q.numerator, q.denominator)
+            assert alg.compare_fraction(q) == bool(root > exact) - bool(root < exact)
+            assert alg.lo <= alg.hi and (alg.lo == alg.hi == root or alg.lo < root <= alg.hi)
+
+
+def test_compare_fraction_half_open_at_a_root_on_the_left_end():
+    # (x - 1)(x - 2): the number is 2, the one root in (1, 3]; 1 is the other root
+    two = AlgebraicReal((2, -3, 1), 1, 3)
+    assert two.compare_fraction(1) == 1
+    two.refine(F(1, 2**30))
+    assert two.lo <= 2 <= two.hi and two.hi - two.lo <= F(1, 2**30)
+    # (x - 1)(x^2 - 2): sqrt 2 is irrational, so refine moves lo off the root 1 by signs
+    root2 = AlgebraicReal((2, -2, -1, 1), 1, 3)
+    assert root2.compare_fraction(1) == 1
+    root2.refine(F(1, 2**30))
+    assert 1 < root2.lo and root2.lo**2 < 2 < root2.hi**2 and root2.hi - root2.lo <= F(1, 2**30)
+    assert root2.compare_fraction(root2.hi + F(1, 2**40)) == -1
+    # the number at hi, with lo on the other root; its denominator 10^7 is
+    # beyond the rational-root search, and refine still returns it exactly
+    top = F(2 * 10**7 + 1, 10**7)
+    p = mul((-1, 1), (-top.numerator, top.denominator))
+    assert AlgebraicReal(p, 1, top).compare_fraction(top - F(1, 10**9)) == 1
+    at_hi = AlgebraicReal(p, 1, top)
+    at_hi.refine(F(1, 2**30))
+    assert at_hi.lo == at_hi.hi == top
+
+
+def test_dominant_root_within_at_exact_ends():
+    # (x - 2)(x + 1): p(2) = 0, so Descartes cannot certify an upper end at 2
+    p = (-2, -1, 1)
+    eps = F(1, 10**9)
+    assert DominantRoot(p).within(F(2), F(3))  # root at lo
+    assert DominantRoot(p).within(F(1), F(2))  # root at hi
+    assert DominantRoot(p).within(F(2), F(2))
+    assert not DominantRoot(p).within(2 + eps, F(3))
+    assert not DominantRoot(p).within(F(1), 2 - eps)
+    assert not DominantRoot(p).within(2 - 2 * eps, 2 - eps)
+    assert DominantRoot(p).within(2 - eps, 2 + eps)
+    root = DominantRoot(p)
+    assert root.sign(F(2), 1) == root.sign(F(2), -1) == 0
 
 
 def test_quad_surd():

@@ -8,7 +8,14 @@ import pytest
 
 from pcpoly import randomgraph
 from pcpoly.cliquepoly import clique_type_polynomial
-from pcpoly.exactpoly import RatInterval, clear_denominators, eval_at, to_fraction_poly, trim
+from pcpoly.exactpoly import (
+    RatInterval,
+    RootEnclosure,
+    clear_denominators,
+    eval_at,
+    to_fraction_poly,
+    trim,
+)
 from pcpoly.graphs import iter_all_graphs
 from pcpoly.randomgraph import (
     SERIES_TERMS,
@@ -69,6 +76,22 @@ def test_closed_form_must_contain_the_root(monkeypatch):
     monkeypatch.setattr(randomgraph, "_closed_form_interval", shifted)
     with pytest.raises(AssertionError, match="closed form"):
         beta_random(4, F(1, 3), width)
+
+
+def test_ladder_domination_is_certified(monkeypatch):
+    # 10x^2 - 29x + 19 has roots 1 and 19/10, and 1 > (1/2)(19/10): no domination.
+    # With the top root enclosed in the valid but wide [9/5, 11/5], 1 lies
+    # below (1/2)(11/5), which proves nothing about (1/2)(19/10).
+    monkeypatch.setattr(randomgraph, "pc_random",
+                        lambda n, p: randomgraph.RandomPC(2, F(1, 2), (19, -29, 10)))
+    true_isolate = randomgraph.isolate_real_roots
+
+    def wide_top(p, width):
+        return true_isolate(p, width)[:-1] + [RootEnclosure(F(9, 5), F(11, 5), 1)]
+
+    monkeypatch.setattr(randomgraph, "isolate_real_roots", wide_top)
+    with pytest.raises(AssertionError, match="domination chain violated"):
+        random_root_ladder(2, F(1, 2), 1)
 
 
 def test_ladder_structure():

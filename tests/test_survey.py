@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcpoly import survey
+from pcpoly import exactpoly, survey
 from pcpoly.extremal import max_beta_construction, max_beta_equality_family
 from pcpoly.graphs import (
     adj_from_edge_mask,
@@ -259,8 +259,9 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
     # the targets per edge count are built once per process, before anything is counted
     survey._prepare_extremal_targets(5)
     survey._prepare_planar_targets(5)
-    for fn in ("count_nonreal_roots", "dominant_real_root", "descartes_no_root_above"):
-        monkeypatch.setattr(survey, fn, _counted(calls, fn, getattr(survey, fn)))
+    for module, fn in ((survey, "count_nonreal_roots"), (survey, "dominant_real_root"),
+                       (exactpoly, "descartes_no_root_above")):
+        monkeypatch.setattr(module, fn, _counted(calls, fn, getattr(module, fn)))
     monkeypatch.setattr(
         AlgebraicReal, "dominant_root",
         staticmethod(_counted(calls, "dominant_root", AlgebraicReal.dominant_root)),
