@@ -108,7 +108,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monoid", help="normal-form counts and Lie dimensions")
     add_graph_arg(p)
     p.add_argument("--length", type=int, default=8)
-    p.add_argument("--mode", choices=("auto", "direct", "automaton"), default="auto")
     p.add_argument("--lie", type=int, default=0, help="also print this many Lie dims")
 
     p = sub.add_parser("transform", help="Kelmans step or threshold reduction")
@@ -194,8 +193,8 @@ def _run(args) -> int:
     elif args.command == "monoid":
         g = _load_graph(args)
         counts = m_sequence(g, args.length)
-        direct = count_normal_forms(g, length=args.length, mode=args.mode)
-        payload = {"recurrence": counts, "count_at_length": direct}
+        payload = {"recurrence": counts,
+                   "count_at_length": count_normal_forms(g, length=args.length)}
         if args.lie:
             payload["lie_dims"] = list(lie_dimensions(g, args.lie).dims)
         _emit(payload, fmt)
@@ -208,7 +207,7 @@ def _run(args) -> int:
             vec, steps = reduce_to_threshold(g)
             _emit({"threshold_vector": str(vec), "steps": steps_to_json(steps)}, fmt)
         else:
-            raise SystemExit("transform needs --kelmans or --reduce")
+            raise ValueError("transform needs --kelmans or --reduce")
     elif args.command == "extremal":
         fn = max_beta_graph if args.kind == "max" else min_beta_graph
         res = fn(args.n, args.k)
@@ -252,7 +251,7 @@ def _run(args) -> int:
                 payload["closed_form_hi"] = str(closed.hi)
             _emit(payload, fmt)
         elif args.what == "ladder":
-            _emit(_describe(ladder_limit_roots(args.r, args.p, args.t)), fmt)
+            _emit(_describe(ladder_limit_roots(args.r, args.p, args.t, args.width)), fmt)
         elif args.what == "beta0":
             _emit(_describe(beta0_constant(max(args.width, Fraction(1, 10**30)))), fmt)
         else:

@@ -102,15 +102,7 @@ def clear_denominators(p) -> tuple:
     for c in p:
         c = Fraction(c)
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(Fraction(c) * lcm) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    return primitive(tuple(int(Fraction(c) * lcm) for c in p))
 
 
 def content(p) -> int:
@@ -172,70 +164,55 @@ def _pseudo_rem_signed(a, b):
 
 
 def gcd_int(p, q):
-    """Primitive gcd of integer polynomials via subresultant-style remainders."""
-    a, b = primitive(trim(p)), primitive(trim(q))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem_signed(a, b)
-        a, b = b, primitive(r) if r else ()
-    return primitive(a)
+    """Primitive gcd of integer polynomials: the last element of their remainder
+    sequence is an associate, whose primitive part it is (DECISIONS.md D8)."""
+    a, b = trim(p), trim(q)
+    seq = _remainder_sequence(a, b) if len(a) >= len(b) else _remainder_sequence(b, a)
+    return primitive(seq[-1]) if seq else ()
 
 
 def squarefree_part(p):
     p = primitive(trim(p))
     if len(p) <= 1:
         return p
-    g = gcd_int(p, derivative(p))
-    if len(g) == 1:
-        return p
-    return primitive(_div_exact_int(p, g))
+    return _div_exact_int(p, primitive(sturm_chain(p)[-1]))  # p / gcd(p, p')
 
 
 def squarefree_decomposition(p):
-    """Yun decomposition: list of (multiplicity, primitive squarefree factor)."""
+    """List of (multiplicity, primitive squarefree factor), multiplicities ascending."""
     return [(mult, factor) for mult, factor, _ in _squarefree_with_chains(primitive(trim(p)))]
 
 
-def _squarefree_with_chains(p):
-    """Yun decomposition of primitive ``p`` as [(multiplicity, factor, Sturm chain of factor)].
+def _gcd_tower(p):
+    """[(p_j, Sturm chain of p_j)] for p_0 = p and p_(j+1) = gcd(p_j, p_j') while not constant.
 
-    The Sturm chain of p is a remainder sequence of (p, p'), so its last
-    element is gcd(p, p') up to sign and content (DECISIONS.md D8).  When
-    that is a constant, p is squarefree: the result is p with its own chain
-    and no gcd is computed.  Otherwise Yun's loop runs exactly in Z[x]
-    (D. Y. Y. Yun, SYMSAC 1976) from that gcd: every divisor is a primitive
-    gcd, so every quotient is integral.  b and c are always divided by the
-    same gcd, which keeps the c - b' bookkeeping exact; normalizing b or c on
-    its own would break it, so only the emitted factors are made primitive.
+    p_(j+1) is the primitive last element of the chain of p_j (DECISIONS.md
+    D8).  A root of multiplicity m in p is a root of p_0, ..., p_(m-1) only.
     """
-    if len(p) <= 1:
-        return []
-    chain = sturm_chain(p)
-    if len(chain[-1]) == 1:
-        return [(1, p, chain)]
-    d = derivative(p)
-    a = primitive(chain[-1])
-    b = _div_exact_int(p, a)
-    c = _div_exact_int(d, a)
-    out = []
-    m = 1
-    while len(b) > 1:
-        delta = sub(c, derivative(b))
-        if not delta:
-            out.append((m, primitive(b)))
-            break
-        f = gcd_int(b, delta)
-        if len(f) > 1:
-            out.append((m, primitive(f)))
-        b = _div_exact_int(b, f)
-        c = _div_exact_int(delta, f)
-        m += 1
-    return [(mult, factor, sturm_chain(factor)) for mult, factor in out]
+    tower = []
+    while len(p) > 1:
+        chain = sturm_chain(p)
+        tower.append((p, chain))
+        p = primitive(chain[-1])
+    return tower
+
+
+def _squarefree_with_chains(p):
+    """Squarefree decomposition of primitive ``p`` as [(multiplicity, factor, Sturm chain of factor)].
+
+    q_j = p_(j-1)/p_j over the gcd tower is the product of the roots of
+    multiplicity at least j, and the factor of multiplicity m is
+    q_m/q_(m+1).  All divisions are exact by primitive divisors, so every
+    factor is primitive with a positive leading coefficient (DECISIONS.md
+    D11).  A squarefree p keeps the chain the tower built.
+    """
+    tower = _gcd_tower(p)
+    if len(tower) == 1:
+        return [(1, p, tower[0][1])]
+    levels = [q for q, _ in tower] + [(1,)]
+    radicals = [_div_exact_int(a, b) for a, b in zip(levels, levels[1:])] + [(1,)]
+    factors = [_div_exact_int(a, b) for a, b in zip(radicals, radicals[1:])]
+    return [(m, f, sturm_chain(f)) for m, f in enumerate(factors, 1) if len(f) > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +227,20 @@ def _reduce_content(p):
     return tuple(c // g for c in p)
 
 
-def sturm_chain(p):
-    """Sturm chain of an integer polynomial (content-reduced at each step)."""
-    p = _reduce_content(trim(p))
-    chain = [p, _reduce_content(derivative(p))]
-    while chain[-1]:
-        r = _pseudo_rem_signed(chain[-2], chain[-1])
+def _remainder_sequence(a, b):
+    """a, b and their negated pseudo-remainders, content-reduced, up to the last nonzero one."""
+    seq = [_reduce_content(a), _reduce_content(b)]
+    while seq[-1]:
+        r = _pseudo_rem_signed(seq[-2], seq[-1])
         if not r:
             break
-        chain.append(_reduce_content(neg(r)))
-    return [f for f in chain if f]
+        seq.append(_reduce_content(neg(r)))
+    return [f for f in seq if f]
+
+
+def sturm_chain(p):
+    """Sturm chain of an integer polynomial (content-reduced at each step)."""
+    return _remainder_sequence(trim(p), derivative(p))
 
 
 def _variations(signs) -> int:
@@ -591,21 +572,14 @@ def _dominant_root_and_factor(p, width):
 def count_nonreal_roots(p) -> int:
     """Degree minus the multiplicity-weighted number of real roots.
 
-    With p_0 = p and p_(j+1) = gcd(p_j, p_j'), the last element of the Sturm
-    chain of p_j, a real root of multiplicity m is a root of p_0, ..., p_(m-1)
-    and of no later p_j, so summing the distinct real roots of every p_j
-    (Sturm's count, valid without squarefreeness) weights each root by its
-    multiplicity (DECISIONS.md D8).
+    Summing Sturm's count of distinct real roots, valid without
+    squarefreeness, over the gcd tower of :func:`_gcd_tower` weights each
+    real root by its multiplicity (DECISIONS.md D8).
     """
     ip = clear_denominators(p)
     if not ip:
         raise ValueError("zero polynomial")
-    real = 0
-    q = ip
-    while len(q) > 1:
-        chain = sturm_chain(q)
-        real += count_roots_halfopen(chain, None, None)
-        q = chain[-1]
+    real = sum(count_roots_halfopen(chain, None, None) for _, chain in _gcd_tower(ip))
     return degree(ip) - real
 
 
@@ -740,35 +714,44 @@ class AlgebraicReal:
         return f"AlgebraicReal({float(self):.12g})"
 
 
-def shift_poly(p, c):
-    """p(x + c) for rational c, via repeated synthetic division."""
-    c = Fraction(c)
-    work = [Fraction(x) for x in p]
+def _taylor_shift(coeffs, c) -> list:
+    """Coefficients of p(x + c) from those of p, by repeated synthetic division."""
+    work = list(coeffs)
     n = len(work)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             work[j] += work[j + 1] * c
-    return trim(work)
+    return work
+
+
+def shift_poly(p, c):
+    """p(x + c) for rational c."""
+    return trim(_taylor_shift([Fraction(x) for x in p], Fraction(c)))
+
+
+def _descartes_bound(p, t) -> int:
+    """Sign variations of p(x + t), plus one if p(t) = 0, for integer ``p`` and rational t.
+
+    By Descartes' rule of signs no more distinct real roots of p lie at or
+    above t.  For t = a/b the shift runs on b^n p((y + a)/b), n = deg p,
+    whose coefficients have the signs of those of p(x + t).
+    """
+    t = Fraction(t)
+    n = len(p) - 1
+    work = _taylor_shift([int(c) * t.denominator ** (n - i) for i, c in enumerate(p)],
+                         t.numerator)
+    return _variations([_sign(c) for c in work]) + (work[0] == 0)
 
 
 def descartes_no_root_above(p, t) -> bool:
     """True certifies that integer polynomial ``p`` has no real root >= t.
 
-    Shifts by rational t and checks all coefficients share the leading sign;
-    zero sign variations leave no positive root for the shifted polynomial.
-    Only a sufficient test in general, but exact for polynomials whose root
-    of maximal modulus is real (the shifted factors all gain positive
-    coefficients in that case).
+    Zero sign variations of p(x + t) and p(t) != 0 leave no root at or above
+    t (:func:`_descartes_bound`).  Only a sufficient test in general, but
+    exact for polynomials whose root of maximal modulus is real (the shifted
+    factors all gain positive coefficients in that case).
     """
-    t = Fraction(t)
-    a, b = t.numerator, t.denominator
-    n = len(p) - 1
-    work = [int(c) * b ** (n - i) for i, c in enumerate(p)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            work[j] += work[j + 1] * a
-    lead = _sign(work[-1])
-    return all(_sign(c) == lead for c in work if c != 0) and work[0] != 0
+    return _descartes_bound(p, t) == 0
 
 
 class DominantRoot:

@@ -174,11 +174,6 @@ def _regime_w(n: int, k: int) -> int:
     return w
 
 
-def _multipartite_edge_count(n: int, w: int, n1: int) -> int:
-    b = n - (w - 1) * n1
-    return (n * n - (w - 1) * n1 * n1 - b * b) // 2
-
-
 def min_beta_graph(n: int, k: int) -> ExtremalResult:
     if not 0 <= k <= n * (n - 1) // 2:
         raise ValueError("edge count out of range")
@@ -199,53 +194,40 @@ def min_beta_graph(n: int, k: int) -> ExtremalResult:
         return ExtremalResult(g, Fraction(n, w), "min")
 
     # try the K_{n1,...,n1,b} base, smallest feasible n1 first
-    n1_lo = n // w + 1
-    n1_hi = n // (w - 1)
-    chosen = None
-    for n1 in range(n1_lo, n1_hi + 1):
-        if n - (w - 1) * n1 < 0:
-            break
-        if _multipartite_edge_count(n, w, n1) <= k:
-            chosen = n1
-            break
-    if chosen is not None:
-        n1 = chosen
+    for n1 in range(n // w + 1, n // (w - 1) + 1):
         b = n - (w - 1) * n1
-        kprime = k - _multipartite_edge_count(n, w, n1)
-        c, r = divmod(kprime, w - 1)
+        if b < 0:
+            break
         parts = [n1] * (w - 1) + ([b] if b else [])
-        g = complete_multipartite(parts)
-        start = 0
-        edges = list(g.edges())
-        for idx in range(w - 1):
-            verts = list(range(start, start + n1))
-            extra = c + (1 if idx < r else 0)
-            edges += _triangle_free_edges(verts, extra)
-            start += n1
-        g = from_edges(n, edges)
-        pred = QuadSurd.make(n1, n1 * n1 - 4 * c, 2)
-        _assert_is_beta(g, pred)
-        return ExtremalResult(g, pred, "min", "Conjecture 9.1")
+        if complete_multipartite(parts).edge_count <= k:
+            return _filled_multipartite(n, k, parts, w - 1)
 
     # sparse side: balanced (w-1)-partite base with l/l+1 parts
     l = n // (w - 1)
     p = n - l * (w - 1)
-    q = (w - 1) - p
-    parts = [l + 1] * p + [l] * q
+    return _filled_multipartite(n, k, [l + 1] * p + [l] * (w - 1 - p), p)
+
+
+def _filled_multipartite(n: int, k: int, parts: list[int], filled: int) -> ExtremalResult:
+    """The conditional minimiser: complete_multipartite(parts) plus k - e(base) edges.
+
+    The extra edges are spread as evenly as possible over the first
+    ``filled`` parts, all of size s = parts[0], triangle-free inside each.
+    With c = floor(extra / filled), the predicted growth rate is
+    (s + sqrt(s^2 - 4c))/2.
+    """
     base = complete_multipartite(parts)
     kprime = k - base.edge_count
     if kprime < 0:
         raise ValueError("edge count below the regime base; inconsistent regime")
-    c, r = divmod(kprime, p)
+    c, r = divmod(kprime, filled)
+    size = parts[0]
     edges = list(base.edges())
-    start = 0
-    for idx in range(p):
-        verts = list(range(start, start + l + 1))
-        extra = c + (1 if idx < r else 0)
-        edges += _triangle_free_edges(verts, extra)
-        start += l + 1
+    for idx in range(filled):
+        verts = list(range(idx * size, (idx + 1) * size))
+        edges += _triangle_free_edges(verts, c + (1 if idx < r else 0))
     g = from_edges(n, edges)
-    pred = QuadSurd.make(l + 1, (l + 1) ** 2 - 4 * c, 2)
+    pred = QuadSurd.make(size, size * size - 4 * c, 2)
     _assert_is_beta(g, pred)
     return ExtremalResult(g, pred, "min", "Conjecture 9.1")
 

@@ -166,33 +166,28 @@ def _count_normal_automaton(g: Graph, order: VertexOrder, maxlen: int) -> list[i
 DIRECT_LIMIT = 16
 
 
-def count_normal_forms(
-    g: Graph, order: VertexOrder | None = None, length: int = 0, mode: str = "auto"
-) -> int:
-    """Exact number of normal forms of the given length.
-
-    ``direct`` enumerates normal prefixes (length capped at 16); ``automaton``
-    runs the blocked-letter DFA and has no length cap.  Both agree.
-    """
+def count_normal_forms(g: Graph, order: VertexOrder | None = None, length: int = 0) -> int:
+    """Exact number of normal forms of the given length, by the blocked-letter automaton."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if order is None:
         order = VertexOrder.default(g.n)
-    if mode == "auto":
-        mode = "direct" if length <= 8 and g.n <= 6 else "automaton"
-    if mode == "direct":
-        if length > DIRECT_LIMIT:
-            raise ValueError(f"direct mode capped at length {DIRECT_LIMIT}")
-        return _count_normal_direct(g, order, length)[length]
-    if mode == "automaton":
-        return _count_normal_automaton(g, order, length)[length]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _count_normal_automaton(g, order, length)[length]
 
 
 def normal_form_counts(g: Graph, order: VertexOrder | None = None, maxlen: int = 8,
                        mode: str = "direct") -> list[int]:
-    """Counts for all lengths 0..maxlen in one pass."""
+    """Counts for all lengths 0..maxlen in one pass.
+
+    ``direct`` enumerates normal prefixes (length capped at 16) and is the
+    reference that the censuses and tests check the automaton against;
+    ``automaton`` runs the blocked-letter DFA and has no length cap.
+    """
     if order is None:
         order = VertexOrder.default(g.n)
     if mode == "direct":
+        if maxlen > DIRECT_LIMIT:
+            raise ValueError(f"direct enumeration capped at length {DIRECT_LIMIT}")
         return _count_normal_direct(g, order, maxlen)
     return _count_normal_automaton(g, order, maxlen)
 
@@ -253,6 +248,8 @@ def _power_sums(pc, upto: int) -> list[int]:
 
 def lie_dimensions(g: Graph, upto: int) -> LieDims:
     """Graded dimensions via the Moebius-inverted power sums, exact."""
+    if upto < 0:
+        raise ValueError("Lie degree must be nonnegative")
     pc = pc_polynomial(g)
     psums = _power_sums(pc, upto)
     dims = []

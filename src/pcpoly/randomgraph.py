@@ -21,6 +21,7 @@ from .exactpoly import (
     RatInterval,
     RootEnclosure,
     _bisect,
+    _descartes_bound,
     _div_exact_int,
     _over_one_denominator,
     _sign_at,
@@ -178,6 +179,9 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
 
     The scan starts at 3/2, so Descartes' rule must certify that no root lies
     at or above it; otherwise ValueError, since the scan would miss that root.
+    A scan step may also step over an even number of roots, so the scan's
+    ranks stand only when :func:`_descartes_bound` at the last bracket allows
+    no more roots than brackets; otherwise ValueError.
     """
     hi = Fraction(3, 2)
     if not descartes_no_root_above(ipoly, hi):
@@ -198,8 +202,10 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
             brackets.append((lo, hi))
             sign_hi = sign_lo
         hi = lo
+    if len(brackets) == how_many and _descartes_bound(ipoly, brackets[-1][0]) != how_many:
+        raise ValueError("the scan may have stepped over roots")
     out = []
-    for lo, hi in brackets[:how_many]:
+    for lo, hi in brackets:
         a, b, d = _bisect(ipoly, *_over_one_denominator(lo, hi), *width.as_integer_ratio())
         out.append(RootEnclosure(Fraction(a, d), Fraction(b, d), 1))
     return out
@@ -214,6 +220,8 @@ def ladder_limit_roots(r: int, p, t: int, width: Fraction = Fraction(1, 10**9)) 
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
+    if r < 1:
+        raise ValueError("root index must be at least 1")
     if t < 2 * r:
         raise ValueError("truncation degree must be at least 2r")
     b = 1 / p

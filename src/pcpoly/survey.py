@@ -282,18 +282,12 @@ def _prepare_extremal_targets(n: int):
     targets = {}
     for k in range(n * (n - 1) // 2 + 1):
         pc_star = max_beta_pc(n, k)
-        if 4 * k <= n * n:
-            min_pred = QuadSurd.make(n, n * n - 4 * k, 2) if k else Fraction(n)
-            conditional = None
-        else:
-            res = min_beta_graph(n, k)
-            min_pred = res.predicted_beta
-            conditional = res.conditional
+        res = min_beta_graph(n, k)
         targets[k] = {
             "max_pc": pc_star,
             "max": AlgebraicReal.dominant_root(pc_star, _TARGET_WIDTH),
-            "min": _target(min_pred),
-            "conditional": conditional,
+            "min": _target(res.predicted_beta),
+            "conditional": res.conditional,
         }
     return targets
 

@@ -16,9 +16,12 @@ from .cliquepoly import beta, packed_clique_sum, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
     RootEnclosure,
+    add,
     clear_denominators,
     eval_at,
     isolate_real_roots,
+    mul,
+    neg,
     real_root_count,
     trim,
 )
@@ -132,39 +135,25 @@ def matrix_to_weighted_graph(matrix: Sequence[Sequence[Fraction]]) -> WeightedGr
 
 
 def _det_identity_minus_x(rows) -> tuple:
-    """det(I - x M) by fraction-free expansion over polynomial entries."""
+    """det(I - x M) by cofactor expansion along the first row, over polynomial entries."""
     m = len(rows)
     # polynomial entries: I - xM
     ent = [[(Fraction(1 if i == j else 0), -rows[i][j]) for j in range(m)] for i in range(m)]
 
-    def pmul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-
     def det_expand(active_rows, active_cols):
         if not active_rows:
-            return [Fraction(1)]
+            return (Fraction(1),)
         r = active_rows[0]
-        acc = [Fraction(0)]
+        acc = ()
         for idx, c in enumerate(active_cols):
             e = ent[r][c]
-            if all(x == 0 for x in e):
+            if not any(e):
                 continue
-            minor = det_expand(active_rows[1:], active_cols[:idx] + active_cols[idx + 1:])
-            term = pmul(list(e), minor)
-            if idx % 2:
-                term = [-x for x in term]
-            if len(term) > len(acc):
-                acc, term = term, acc
-            for i, x in enumerate(term):
-                acc[i] += x
+            term = mul(e, det_expand(active_rows[1:], active_cols[:idx] + active_cols[idx + 1:]))
+            acc = add(acc, neg(term) if idx % 2 else term)
         return acc
 
-    return trim(det_expand(list(range(m)), list(range(m))))
+    return det_expand(list(range(m)), list(range(m)))
 
 
 def mcmullen_growth(gw: WeightedGraph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:

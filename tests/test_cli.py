@@ -134,6 +134,10 @@ def test_survey_extremal_verb(capsys, monkeypatch):
         (["survey", "nonreal", "9"], "1 <= n <= 7"),
         (["matching", "K20"], "capped at 19 vertices"),
         (["survey", "average", "8"], "census supported for 1 <= n <= 7"),
+        (["monoid", "K3", "--length", "-1"], "length must be nonnegative"),
+        (["monoid", "K3", "--lie", "-1"], "Lie degree must be nonnegative"),
+        (["random", "ladder", "--r", "0"], "root index must be at least 1"),
+        (["transform", "K3"], "transform needs --kelmans or --reduce"),
     ],
 )
 def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
@@ -142,6 +146,15 @@ def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pcpoly: error: ") and fragment in lines[0]
+
+
+def test_random_ladder_honours_width(capsys):
+    code, payload = _run_json(capsys, "random", "ladder", "--r", "2", "--t", "20")
+    assert code == 0 and F(payload["hi"]) - F(payload["lo"]) <= F(1, 10**12)
+    code, coarse = _run_json(capsys, "--width", "1/1000", "random", "ladder", "--r", "2",
+                             "--t", "20")
+    assert code == 0 and F(1, 10**12) < F(coarse["hi"]) - F(coarse["lo"]) <= F(1, 1000)
+    assert F(coarse["lo"]) <= F(payload["lo"]) <= F(payload["hi"]) <= F(coarse["hi"])
 
 
 def test_beta_of_k40_is_one_with_multiplicity_40(capsys):

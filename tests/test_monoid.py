@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pcpoly import monoid
 from pcpoly.cliquepoly import beta
 from pcpoly.graphs import (
     edge_slots,
@@ -87,7 +88,16 @@ def test_modes_agree_random_orders():
 
 def test_direct_mode_cap():
     with pytest.raises(ValueError):
-        count_normal_forms(parse_graph("K2", "named"), length=17, mode="direct")
+        normal_form_counts(parse_graph("K2", "named"), maxlen=17, mode="direct")
+
+
+def test_counts_run_on_the_automaton(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("direct enumeration ran")
+
+    monkeypatch.setattr(monoid, "_count_normal_direct", refuse)
+    g = parse_graph("C6", "named")
+    assert count_normal_forms(g, length=8) == m_sequence(g, 8)[8]
 
 
 def test_submultiplicativity():
@@ -109,7 +119,7 @@ def test_growth_rate_sanity():
         for g in [parse_graph(f"Kbar{n}", "named"), parse_graph(f"K{n}", "named"),
                   parse_graph(f"C{n}", "named") if n >= 3 else parse_graph("K2", "named"),
                   parse_graph(f"P{n}", "named")]:
-            m40 = count_normal_forms(g, length=40, mode="automaton")
+            m40 = count_normal_forms(g, length=40)
             enc = beta(g)
             slack = 0.15 + (enc.multiplicity - 1) * math.log(40) / 40
             assert abs(math.log(m40) / 40 - math.log(float(enc.midpoint))) <= slack

@@ -13,6 +13,7 @@ from pcpoly.exactpoly import (
     RootEnclosure,
     clear_denominators,
     eval_at,
+    mul,
     to_fraction_poly,
     trim,
 )
@@ -180,6 +181,21 @@ def test_ladder_scan_refuses_a_root_at_or_above_its_start():
     for ipoly in ((2, -5, 2), (-3, 2)):
         with pytest.raises(ValueError, match="3/2"):
             randomgraph._positive_roots_descending(ipoly, 1, F(1, 10**6))
+
+
+def test_ladder_scan_certifies_the_ranks():
+    # (x - 1.3)(x - 1.3001)(x - 1.3002)(x - 1/2): one scan step holds the three
+    # close roots, so the scan alone takes 1/2 for the second-largest root
+    p = (1,)
+    for root in (F(13, 10), F(13001, 10000), F(13002, 10000), F(1, 2)):
+        p = mul(p, (-root, 1))
+    ipoly = clear_denominators(p)
+    with pytest.raises(ValueError, match="stepped over roots"):
+        randomgraph._positive_roots_descending(ipoly, 2, F(1, 10**9))
+    # a root on a scan point, (3/2)(63/64), counts towards the ranks
+    ipoly = clear_denominators(mul((-F(189, 128), 1), (-F(1, 10), 1)))
+    roots = randomgraph._positive_roots_descending(ipoly, 1, F(1, 10**9))
+    assert [(e.lo, e.hi) for e in roots] == [(F(189, 128), F(189, 128))]
 
 
 def test_ladder_limits_match_printed_values():

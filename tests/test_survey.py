@@ -207,7 +207,7 @@ def test_targets_are_built_once_per_process(monkeypatch):
     _clear_targets()
     census_extremal_check(6)
     census_planar_check(5)
-    assert calls["max_beta_pc"] == 16 and calls["min_beta_graph"] == 6
+    assert calls["max_beta_pc"] == 16 and calls["min_beta_graph"] == 16
     assert calls["planar_extremes"] and calls["target dominant_root"]
     calls.clear()
     census_extremal_check(6)
@@ -239,6 +239,22 @@ def test_target_construction_checks_run_on_first_build(monkeypatch):
         census_extremal_check(6)
     with pytest.raises(AssertionError, match="construction check ran"):
         census_planar_check(5)
+
+
+def test_extremal_census_certifies_the_printed_minimum(monkeypatch):
+    from pcpoly import extremal
+
+    check = extremal._assert_is_beta
+
+    def refuse_below_mantel(g, pred):
+        if 4 * g.edge_count <= g.n * g.n:
+            raise AssertionError("triangle-free minimum checked")
+        check(g, pred)
+
+    _clear_targets()
+    monkeypatch.setattr(extremal, "_assert_is_beta", refuse_below_mantel)
+    with pytest.raises(AssertionError, match="triangle-free minimum checked"):
+        census_extremal_check(6)
 
 
 def _lll_key(g):
