@@ -15,28 +15,10 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import survey as survey_mod
-from .cliquepoly import (
-    beta,
-    clique_profile,
-    clique_type_polynomial,
-    independence_at_minus_one,
-    spectral_radius,
-)
-from .extremal import max_beta_graph, min_beta_graph, nordhaus_gaddum, planar_extremes
+# parsing, _describe and _emit need only these; each verb imports its own
+# module when it runs, so start-up and --help load no verb module
 from .exactpoly import DEFAULT_WIDTH, QuadSurd, RootEnclosure
 from .graphs import parse_graph, to_edge_list, to_graph6
-from .matching import _matching_and_t, adjoint_polynomial
-from .monoid import count_normal_forms, lie_dimensions, m_sequence
-from .randomgraph import (
-    beta0_constant,
-    beta_random,
-    beta_series,
-    ladder_limit_roots,
-    pc_random,
-)
-from .transforms import kelmans, reduce_to_threshold, steps_to_json
-from .weighted import lll_check, lll_threshold
 
 
 def _fraction(text: str) -> Fraction:
@@ -174,13 +156,19 @@ def _run(args) -> int:
     exit_code = 0
 
     if args.command == "poly":
+        from .cliquepoly import clique_type_polynomial
+
         g = _load_graph(args)
         poly = clique_type_polynomial(g, args.kind)
         _emit({"kind": args.kind, "coefficients_ascending": list(poly)}, fmt)
     elif args.command == "beta":
+        from .cliquepoly import beta
+
         g = _load_graph(args)
         _emit(_describe(beta(g, args.width)), fmt)
     elif args.command == "profile":
+        from .cliquepoly import clique_profile, independence_at_minus_one
+
         g = _load_graph(args)
         prof = clique_profile(g)
         value, phi = (None, None)
@@ -191,6 +179,8 @@ def _run(args) -> int:
             payload["decycling_number"] = phi
         _emit(payload, fmt)
     elif args.command == "monoid":
+        from .monoid import count_normal_forms, lie_dimensions, m_sequence
+
         g = _load_graph(args)
         counts = m_sequence(g, args.length)
         payload = {"recurrence": counts,
@@ -199,6 +189,8 @@ def _run(args) -> int:
             payload["lie_dims"] = list(lie_dimensions(g, args.lie).dims)
         _emit(payload, fmt)
     elif args.command == "transform":
+        from .transforms import kelmans, reduce_to_threshold, steps_to_json
+
         g = _load_graph(args)
         if args.kelmans:
             out = kelmans(g, *args.kelmans)
@@ -209,6 +201,8 @@ def _run(args) -> int:
         else:
             raise ValueError("transform needs --kelmans or --reduce")
     elif args.command == "extremal":
+        from .extremal import max_beta_graph, min_beta_graph
+
         fn = max_beta_graph if args.kind == "max" else min_beta_graph
         res = fn(args.n, args.k)
         payload = {
@@ -219,6 +213,8 @@ def _run(args) -> int:
             payload["conditional"] = res.conditional
         _emit(payload, fmt)
     elif args.command == "planar":
+        from .extremal import planar_extremes
+
         res = planar_extremes(args.n, args.k)
         _emit(
             {
@@ -230,6 +226,8 @@ def _run(args) -> int:
             fmt,
         )
     elif args.command == "nordhaus-gaddum":
+        from .extremal import nordhaus_gaddum
+
         g = _load_graph(args)
         s, pr = nordhaus_gaddum(g, args.width)
         _emit(
@@ -240,6 +238,14 @@ def _run(args) -> int:
             fmt,
         )
     elif args.command == "random":
+        from .randomgraph import (
+            beta0_constant,
+            beta_random,
+            beta_series,
+            ladder_limit_roots,
+            pc_random,
+        )
+
         if args.what == "pc":
             rpc = pc_random(args.n, args.p)
             _emit({"coefficients_ascending": [str(c) for c in rpc.poly]}, fmt)
@@ -258,6 +264,8 @@ def _run(args) -> int:
             series = beta_series(args.r)
             _emit({"r": series.r, "coefficients": [str(c) for c in series.coeffs]}, fmt)
     elif args.command == "lll":
+        from .weighted import lll_check, lll_threshold
+
         g = _load_graph(args)
         if args.probs:
             res = lll_check(g, args.probs)
@@ -273,6 +281,8 @@ def _run(args) -> int:
             enc = lll_threshold(g, args.width)
             _emit({"threshold_lo": str(enc.lo), "threshold_hi": str(enc.hi)}, fmt)
     elif args.command == "matching":
+        from .matching import _matching_and_t
+
         g = _load_graph(args)
         pair, t = _matching_and_t(g, args.width)
         payload = {
@@ -283,14 +293,20 @@ def _run(args) -> int:
             payload["t_largest"] = _describe(t)
         _emit(payload, fmt)
     elif args.command == "adjoint":
+        from .matching import adjoint_polynomial
+
         g = _load_graph(args)
         _emit({"adjoint_ascending": list(adjoint_polynomial(g))}, fmt)
     elif args.command == "spectral":
+        from .cliquepoly import spectral_radius
+
         g = _load_graph(args)
         _emit(_describe(spectral_radius(g, args.width)), fmt)
     elif args.command == "survey":
+        from . import survey
+
         if args.what == "nonreal":
-            row = survey_mod.survey_nonreal(args.n)
+            row = survey.survey_nonreal(args.n)
             _emit(
                 {
                     "n": row.n,
@@ -302,7 +318,7 @@ def _run(args) -> int:
                 fmt,
             )
         elif args.what == "bounds":
-            res = survey_mod.survey_bounds(args.n)
+            res = survey.survey_bounds(args.n)
             _emit(
                 {
                     "n": res["n"],
@@ -316,16 +332,16 @@ def _run(args) -> int:
             if res["violations"]:
                 exit_code = 1
         elif args.what == "extremal":
-            res = survey_mod.census_extremal_check(args.n)
+            res = survey.census_extremal_check(args.n)
             _emit({key: res[key] for key in ("n", "max_violations", "min_violations",
                                               "max_family_exact", "conditional_ks")}, fmt)
             if (res["max_violations"] or res["min_violations"]
                     or not all(res["max_family_exact"].values())):
                 exit_code = 1
         elif args.what == "dump":
-            print(survey_mod.graph_census_csv(args.n, args.width), end="")
+            print(survey.graph_census_csv(args.n, args.width), end="")
         else:
-            lo, hi = survey_mod.average_beta(args.n, args.width)
+            lo, hi = survey.average_beta(args.n, args.width)
             _emit({"average_lo": str(lo), "average_hi": str(hi),
                    "approx": float((lo + hi) / 2)}, fmt)
     return exit_code

@@ -41,6 +41,11 @@ from .exactpoly import (
 )
 
 
+# largest vertex count of pc_random and degree of truncation_poly: root
+# isolation at this size already takes seconds (DECISIONS.md D5)
+RANDOM_SIZE_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class RandomPC:
     """Expected recurrence polynomial of G(n, p), exact rational coefficients."""
@@ -59,6 +64,8 @@ def pc_random(n: int, p) -> RandomPC:
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be positive")
+    if n > RANDOM_SIZE_LIMIT:
+        raise ValueError(f"random-graph polynomials are capped at n = {RANDOM_SIZE_LIMIT}")
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
         coeffs[n - k] = (-1) ** k * math.comb(n, k) * p ** (k * (k - 1) // 2)
@@ -168,6 +175,8 @@ def random_root_ladder(n: int, p, r: int, width: Fraction = DEFAULT_WIDTH) -> Ro
 
 def truncation_poly(t: int, b: Fraction) -> tuple:
     """P_t(x) = sum_{i<=t} (-1)^i x^(t-i) / (i! b^C(i,2)), ascending rationals."""
+    if t > RANDOM_SIZE_LIMIT:
+        raise ValueError(f"truncation polynomials are capped at t = {RANDOM_SIZE_LIMIT}")
     coeffs = [Fraction(0)] * (t + 1)
     for i in range(t + 1):
         coeffs[t - i] = Fraction((-1) ** i, math.factorial(i)) / b ** (i * (i - 1) // 2)
@@ -181,15 +190,20 @@ def _positive_roots_descending(ipoly, how_many: int, width: Fraction):
     at or above it; otherwise ValueError, since the scan would miss that root.
     A scan step may also step over an even number of roots, so the scan's
     ranks stand only when :func:`_descartes_bound` at the last bracket allows
-    no more roots than brackets; otherwise ValueError.
+    no more roots than brackets; otherwise ValueError.  Each bracket holds a
+    distinct root at or above floor * 63/64, the lowest point the scan can
+    reach, so when the bound there is below ``how_many`` no scan can succeed
+    and the result is empty without one.
     """
     hi = Fraction(3, 2)
     if not descartes_no_root_above(ipoly, hi):
         raise ValueError("truncation polynomial may have a root at or above 3/2")
+    floor = Fraction(1, 10**7)
+    if _descartes_bound(ipoly, floor * Fraction(63, 64)) < how_many:
+        return []
     brackets = []
     sign_hi = _sign_at(ipoly, hi)
     lo = hi
-    floor = Fraction(1, 10**7)
     while len(brackets) < how_many and lo > floor:
         lo = lo * Fraction(63, 64)
         sign_lo = _sign_at(ipoly, lo)

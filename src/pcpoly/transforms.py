@@ -27,10 +27,17 @@ class ThresholdVector:
         return "".join(str(b) for b in self.bits)
 
 
-def kelmans(g: Graph, u: int, v: int) -> Graph:
-    """Move the edges from v to N(v) \\ (N(u) + {u}) over to u."""
+def _check_pair(g: Graph, u: int, v: int) -> None:
+    for w in (u, v):
+        if not 0 <= w < g.n:
+            raise GraphError(f"vertex {w} out of range for {g.n} vertices")
     if u == v:
         raise GraphError("kelmans needs two distinct vertices")
+
+
+def kelmans(g: Graph, u: int, v: int) -> Graph:
+    """Move the edges from v to N(v) \\ (N(u) + {u}) over to u."""
+    _check_pair(g, u, v)
     moved = g.adj[v] & ~g.adj[u] & ~(1 << u) & ~(1 << v)
     adj = list(g.adj)
     adj[v] &= ~moved
@@ -51,8 +58,7 @@ def is_nontrivial_kelmans(g: Graph, u: int, v: int) -> bool:
 
     Equivalent test: some x in N(u)\\N(v), y in N(v)\\N(u) with (x,y) an edge.
     """
-    if u == v:
-        raise GraphError("kelmans needs two distinct vertices")
+    _check_pair(g, u, v)
     xs = g.adj[u] & ~g.adj[v] & ~(1 << v)
     ys = g.adj[v] & ~g.adj[u] & ~(1 << u)
     m = xs

@@ -138,6 +138,10 @@ def test_survey_extremal_verb(capsys, monkeypatch):
         (["monoid", "K3", "--lie", "-1"], "Lie degree must be nonnegative"),
         (["random", "ladder", "--r", "0"], "root index must be at least 1"),
         (["transform", "K3"], "transform needs --kelmans or --reduce"),
+        (["transform", "K3", "--kelmans", "3", "0"], "vertex 3 out of range for 3 vertices"),
+        (["transform", "K3", "--kelmans", "-1", "2"], "vertex -1 out of range for 3 vertices"),
+        (["random", "beta", "--n", "200"], "capped at n = 64"),
+        (["random", "ladder", "--r", "1", "--t", "2000"], "capped at t = 64"),
     ],
 )
 def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -196,6 +197,23 @@ def test_ladder_scan_certifies_the_ranks():
     ipoly = clear_denominators(mul((-F(189, 128), 1), (-F(1, 10), 1)))
     roots = randomgraph._positive_roots_descending(ipoly, 1, F(1, 10**9))
     assert [(e.lo, e.hi) for e in roots] == [(F(189, 128), F(189, 128))]
+
+
+def test_ladder_fails_fast_on_out_of_reach_ranks():
+    # Descartes' rule allows 4 roots above the scan floor, so no scan can find 5 or 6
+    for r, p, t in ((5, F(1, 100), 20), (6, F(1, 100), 40)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"fewer than {r} positive roots found for t={t}"):
+            ladder_limit_roots(r, p, t)
+        assert time.perf_counter() - start < 1
+
+
+def test_random_sizes_are_capped_at_64():
+    assert len(pc_random(64, F(1, 2)).poly) == len(truncation_poly(64, F(2))) == 65
+    with pytest.raises(ValueError, match="capped at n = 64"):
+        pc_random(65, F(1, 2))
+    with pytest.raises(ValueError, match="capped at t = 64"):
+        truncation_poly(65, F(2))
 
 
 def test_ladder_limits_match_printed_values():

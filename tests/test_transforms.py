@@ -55,6 +55,14 @@ def test_kelmans_errors():
         kelmans(parse_graph("K3", "named"), 1, 1)
 
 
+@pytest.mark.parametrize("u, v, bad", [(3, 0, 3), (0, 3, 3), (-1, 2, -1), (1, -2, -2)])
+def test_kelmans_vertex_out_of_range(u, v, bad):
+    g = parse_graph("K3", "named")
+    for move in (kelmans, is_nontrivial_kelmans):
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range for 3 vertices"):
+            move(g, u, v)
+
+
 def test_kelmans_clique_counts_monotone():
     rng = random.Random(99)
     for _ in range(500):
