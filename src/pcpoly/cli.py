@@ -33,9 +33,12 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, default=str, sort_keys=True))
     elif fmt == "csv":
+        import csv  # only here: start-up loads no csv module
+
         keys = sorted(payload)
-        print(",".join(keys))
-        print(",".join(str(payload[k]) for k in keys))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(keys)
+        out.writerow([str(payload[k]) for k in keys])  # a list or dict stays one quoted field
     else:
         for key in sorted(payload):
             print(f"{key}: {payload[key]}")

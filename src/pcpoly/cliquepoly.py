@@ -220,12 +220,16 @@ def decycling_number(g: Graph) -> int:
 
 
 def adjacency_char_poly(g: Graph) -> tuple:
-    """Characteristic polynomial det(xI - A), ascending integer coefficients.
+    """Characteristic polynomial det(xI - A), ascending integer coefficients."""
+    return char_poly([[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)])
+
+
+def char_poly(a) -> tuple:
+    """det(xI - A) of an integer matrix given by its rows, ascending integer coefficients.
 
     Faddeev-LeVerrier over exact integers; the trace divisions are exact.
     """
-    n = g.n
-    a = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[0] * n for _ in range(n)]

@@ -328,10 +328,13 @@ def real_root_count(p, interval=(None, None)) -> int:
 def cauchy_bound(p) -> tuple[int, int]:
     """(m, d) with every real root of integer ``p`` inside (-m/d, m/d).
 
-    m/d = 1 + max |c_i| / |c_n|, Cauchy's bound, over d = |c_n|.
+    m/d = 1 + max |c_i| / |c_n|, Cauchy's bound, in lowest terms: every
+    bisection point then has the smallest denominator.
     """
     lead = abs(p[-1])
-    return lead + max((abs(c) for c in p[:-1]), default=0), lead
+    m = lead + max((abs(c) for c in p[:-1]), default=0)
+    g = math.gcd(m, lead)
+    return m // g, lead // g
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +368,7 @@ class RootEnclosure:
 
 
 def _try_rational_root(p, a, b, d):
-    """Search for an exact rational root of integer ``p`` inside (a/d, b/d]."""
+    """A rational root of integer ``p`` in (a/d, b/d] as the point (num, num, den), or None."""
     lead = abs(p[-1])
     dens = [1]
     if lead > 1 and lead <= 10**6:
@@ -379,7 +382,7 @@ def _try_rational_root(p, a, b, d):
             continue
         for num in range(first, last + 1):
             if _sign_nd(p, num, den) == 0:
-                return Fraction(num, den)
+                return num, num, den
     return None
 
 
@@ -411,37 +414,48 @@ def _bisect(p, a, b, d, wn, wd):
     return a, b, d
 
 
-def _refine_simple_root(p, a, b, d, width):
-    """Shrink (a/d, b/d] around the unique simple root of squarefree ``p``.
+def _move_ends_off_roots(p, q, a, b, d):
+    """Move the ends of (a/d, b/d] off the roots of ``q``, keeping the simple root of ``p``.
 
-    Works on integer numerators over one denominator; only the returned
-    endpoints become Fractions.  The root is simple and the only one in the
-    interval, so p has one sign on (lo, root) and the other on (root, hi]:
-    the sign of p at a point against its sign at hi tells on which side of
-    the root the point lies.
+    ``p`` has exactly one root in the interval, simple, and p(b) != 0.  An
+    end on a root of q steps inward by (b - a)/4^j d, j = 1, 2, ..., to the
+    first candidate on its side of the enclosed root, which the sign of p
+    against p(b) tells (DECISIONS.md D10); a candidate on the root itself
+    returns it as the point (c, c, d).
+    """
+    for left in (True, False):
+        while _sign_nd(q, a if left else b, d) == 0:
+            s_hi = _sign_nd(p, b, d)  # only when an end moves; a moved hi keeps it
+            e = 4
+            while True:
+                c = a * e + b - a if left else b * e - b + a
+                s = _sign_nd(p, c, d * e)
+                if s == 0:
+                    return c, c, d * e
+                if (s == s_hi) != left:
+                    a, b, d = (c, b * e, d * e) if left else (a * e, c, d * e)
+                    break
+                e *= 4
+    return a, b, d
+
+
+def _refine_simple_root(p, a, b, d, width):
+    """Shrink (a/d, b/d] around the unique simple root of squarefree ``p``, as (a, b, d).
+
+    Works on integer numerators over one denominator and builds no
+    Fraction.  The root is simple and the only one in the interval, so p
+    has one sign on (lo, root) and the other on (root, hi]: the sign of p at
+    a point against its sign at hi tells on which side of the root the
+    point lies.  An exact hit on the root returns it with a = b.
     """
     wn, wd = width.as_integer_ratio()
     exact = _try_rational_root(p, a, b, d)
     if exact is not None:
-        return exact, exact
-    s_hi = _sign_nd(p, b, d)
-    if s_hi == 0:
-        hi = Fraction(b, d)
-        return hi, hi
-    # move lo off an adjacent root without skipping over the enclosed one:
-    # candidates lo + (hi - lo)/e for e = 4, 16, 64, ...
-    if _sign_nd(p, a, d) == 0:
-        e = 4
-        while True:
-            cn, cd = a * e + b - a, d * e
-            s = _sign_nd(p, cn, cd)
-            if s == 0:
-                hit = Fraction(cn, cd)
-                return hit, hit
-            if s != s_hi:
-                a, b, d = cn, b * e, cd
-                break
-            e *= 4
+        return exact
+    if _sign_nd(p, b, d) == 0:
+        return b, b, d
+    # lo may be an adjacent root of p; a hit on the root (a = b) passes through
+    a, b, d = _move_ends_off_roots(p, p, a, b, d)
     # the widths run (b - a)/2^k d; the rational-root search is retried
     # once, at the first of them below 2 that is still wider than ``width``
     first_d = d
@@ -452,9 +466,8 @@ def _refine_simple_root(p, a, b, d, width):
         if (b - a) * wd > wn * d:
             exact = _try_rational_root(p, a, b, d)
             if exact is not None:
-                return exact, exact
-    a, b, d = _bisect(p, a, b, d, wn, wd)
-    return Fraction(a, d), Fraction(b, d)
+                return exact
+    return _bisect(p, a, b, d, wn, wd)
 
 
 def _root_enclosures(factor, chain, mult, sqfull, width):
@@ -465,7 +478,8 @@ def _root_enclosures(factor, chain, mult, sqfull, width):
     ``factor``, and searching the right half first.  Each stack entry
     carries the chain's sign variations at both ends, so a split evaluates
     the chain at its midpoint only.  Each interval that holds one root is
-    refined and nudged only when the caller asks for the next enclosure.
+    refined, and its ends moved off the roots of ``sqfull``, only when the
+    caller asks for the next enclosure.
     """
     m, d = cauchy_bound(factor)
     stack = [(-m, m, d, _variations_nd(chain, -m, d), _variations_nd(chain, m, d))]
@@ -474,10 +488,10 @@ def _root_enclosures(factor, chain, mult, sqfull, width):
         if va == vb:
             continue
         if va - vb == 1:
-            lo, hi = _refine_simple_root(factor, a, b, d, width)
-            if lo != hi:
-                lo, hi = _nudge_off_roots(factor, sqfull, lo, hi)
-            yield RootEnclosure(lo, hi, mult)
+            a, b, d = _refine_simple_root(factor, a, b, d, width)
+            if a != b:
+                a, b, d = _move_ends_off_roots(factor, sqfull, a, b, d)
+            yield RootEnclosure(Fraction(a, d), Fraction(b, d), mult)
             continue
         mid = a + b
         vm = _variations_nd(chain, mid, 2 * d)
@@ -505,44 +519,12 @@ def isolate_real_roots(p, width=DEFAULT_WIDTH):
     Multiplicities come from the squarefree decomposition.  Every root of
     every squarefree factor is refined to ``width``.  Every non-exact
     enclosure carries a sign change of the squarefree part at its endpoints
-    (endpoints are nudged off roots of other factors).  Signs are taken by
+    (endpoints are moved off roots of other factors).  Signs are taken by
     integer Horner (:func:`_sign_at`), so every decision is exact.
     """
     out = [enc for _, encs in _enclosures_per_factor(p, width) for enc in encs]
     out.sort(key=lambda e: (e.lo, e.hi))
     return out
-
-
-def _nudge_off_roots(factor, sqfull, lo, hi):
-    """Shrink so neither endpoint is a root of any other squarefree factor.
-
-    The enclosed root stays strictly inside; hitting it exactly collapses the
-    interval to a point.
-    """
-    s_lo = _sign_at(factor, lo)
-    while _sign_at(sqfull, lo) == 0:
-        step = (hi - lo) / 4
-        while True:
-            cand = lo + step
-            s = _sign_at(factor, cand)
-            if s == 0:
-                return cand, cand
-            if s == s_lo:
-                lo = cand
-                break
-            step /= 4
-    while _sign_at(sqfull, hi) == 0:
-        step = (hi - lo) / 4
-        while True:
-            cand = hi - step
-            s = _sign_at(factor, cand)
-            if s == 0:
-                return cand, cand
-            if s != s_lo:
-                hi = cand
-                break
-            step /= 4
-    return lo, hi
 
 
 def dominant_real_root(p, width=DEFAULT_WIDTH) -> RootEnclosure:
@@ -642,8 +624,8 @@ class AlgebraicReal:
     def refine(self, width) -> None:
         if self.hi - self.lo <= width:
             return
-        self.lo, self.hi = _refine_simple_root(
-            self.poly, *_over_one_denominator(self.lo, self.hi), width)
+        a, b, d = _refine_simple_root(self.poly, *_over_one_denominator(self.lo, self.hi), width)
+        self.lo, self.hi = Fraction(a, d), Fraction(b, d)
 
     def enclosure(self, width, multiplicity=1) -> RootEnclosure:
         self.refine(width)
@@ -680,18 +662,16 @@ class AlgebraicReal:
             return self.compare_fraction(other.lo)
         if self.is_rational():
             return -other.compare_fraction(self.lo)
-        # certified equality test: a shared root in the interval overlap
+        # certified equality test: a root of g = gcd in the overlap [a, b].  g
+        # divides the squarefree self.poly, whose one root in (lo, hi] is
+        # simple, so g has at most one root in (a, b], and it is simple
         g = gcd_int(self.poly, other.poly)
-        if len(g) > 1:
-            a = max(self.lo, other.lo)
-            b = min(self.hi, other.hi)
-            if a <= b:
-                gchain = sturm_chain(g)
-                hits = count_roots_halfopen(gchain, a, b)
-                if _sign_at(g, a) == 0:
-                    hits += 1
-                if hits >= 1:
-                    return 0
+        a = max(self.lo, other.lo)
+        b = min(self.hi, other.hi)
+        if len(g) > 1 and a <= b:
+            sa, sb = _sign_at(g, a), _sign_at(g, b)
+            if sa == 0 or sb == 0 or sa != sb:
+                return 0
         while True:
             if self.hi < other.lo:
                 return -1

@@ -8,7 +8,6 @@ everything up to a larger letter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -61,18 +60,7 @@ def is_normal_form(word, g: Graph, order: VertexOrder | None = None) -> bool:
     if order is None:
         order = VertexOrder.default(g.n)
     rank = order.rank()
-    adj = g.adj
-    for q in range(1, len(word)):
-        b = word[q]
-        row = adj[b]
-        rb = rank[b]
-        for p in range(q - 1, -1, -1):
-            a = word[p]
-            if not row >> a & 1:
-                break  # some letter between further a's and b is non-adjacent
-            if rank[a] > rb:  # a < b in the order
-                return False
-    return True
+    return not any(_extension_blocked(word[:q], word[q], rank, g.adj) for q in range(1, len(word)))
 
 
 def _extension_blocked(word, c, rank, adj) -> bool:
@@ -194,14 +182,16 @@ def normal_form_counts(g: Graph, order: VertexOrder | None = None, maxlen: int =
 
 def m_sequence(g: Graph, upto: int) -> list[int]:
     """m_0..m_upto from the clique-count linear recurrence."""
-    counts = clique_counts(g.adj, g.n)
+    return _word_counts(clique_counts(g.adj, g.n), upto)
+
+
+def _word_counts(counts, upto: int) -> list:
+    """m_0..m_upto: m_0 = 1 and m_t = sum_j (-1)^(j+1) counts[j] m_(t-j) over j >= 1."""
     w = len(counts) - 1
     ms = [1]
     for t in range(1, upto + 1):
         val = 0
-        for j in range(1, w + 1):
-            if t - j < 0:
-                break
+        for j in range(1, min(w, t) + 1):
             val += (-1) ** (j + 1) * counts[j] * ms[t - j]
         ms.append(val)
     return ms
@@ -346,14 +336,8 @@ def expected_normal_count(n: int, t: int, p) -> Fraction:
 
 
 def expected_normal_count_recurrence(n: int, t: int, p) -> Fraction:
-    """Same expectation from the binomial clique-count recurrence."""
-    p = Fraction(p)
-    ms = [Fraction(1)]
-    for step in range(1, t + 1):
-        val = Fraction(0)
-        for k in range(1, n + 1):
-            if step - k < 0:
-                break
-            val += (-1) ** (k + 1) * math.comb(n, k) * p ** (k * (k - 1) // 2) * ms[step - k]
-        ms.append(val)
-    return ms[t]
+    """Same expectation from the recurrence on the expected clique counts C(n, k) p^C(k, 2)."""
+    # imported here: survey imports this module, and randomgraph need not load with it
+    from .randomgraph import clique_random
+
+    return Fraction(_word_counts(clique_random(n, p), t)[t])

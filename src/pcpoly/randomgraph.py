@@ -66,10 +66,8 @@ def pc_random(n: int, p) -> RandomPC:
         raise ValueError("n must be positive")
     if n > RANDOM_SIZE_LIMIT:
         raise ValueError(f"random-graph polynomials are capped at n = {RANDOM_SIZE_LIMIT}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = (-1) ** k * math.comb(n, k) * p ** (k * (k - 1) // 2)
-    return RandomPC(n, p, tuple(coeffs))
+    # c_k of the recurrence polynomial sum_k (-1)^k c_k x^(n-k)
+    return RandomPC(n, p, tuple((-1) ** k * c for k, c in enumerate(clique_random(n, p)))[::-1])
 
 
 def clique_random(n: int, p) -> tuple:

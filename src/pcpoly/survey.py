@@ -82,9 +82,9 @@ from .graphs import (
     Graph,
     adj_from_edge_mask,
     complement_adj,
-    edge_list,
     edge_slots,
     graph_classes,
+    line_rows,
     to_graph6,
 )
 from .matching import (
@@ -514,12 +514,7 @@ def _visit_hat(adj, verdict, events, weight):
         events["identity", _g6(adj)] += weight
         return
     # the hat graph must lie inside L(G), which joins edges sharing an endpoint
-    edges = edge_list(adj)
-    at = [0] * len(adj)  # the edges at each vertex
-    for a, (i, j) in enumerate(edges):
-        at[i] |= 1 << a
-        at[j] |= 1 << a
-    if any(row & ~(at[i] | at[j]) for row, (i, j) in zip(hat, edges)):
+    if any(h & ~l for h, l in zip(hat, line_rows(adj))):
         events["subgraph", _g6(adj)] += weight
 
 

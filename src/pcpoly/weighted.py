@@ -12,16 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cliquepoly import beta, packed_clique_sum, unpack_limbs
+from .cliquepoly import beta, char_poly, packed_clique_sum, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
     RootEnclosure,
-    add,
     clear_denominators,
     eval_at,
     isolate_real_roots,
-    mul,
-    neg,
     real_root_count,
     trim,
 )
@@ -135,25 +132,15 @@ def matrix_to_weighted_graph(matrix: Sequence[Sequence[Fraction]]) -> WeightedGr
 
 
 def _det_identity_minus_x(rows) -> tuple:
-    """det(I - x M) by cofactor expansion along the first row, over polynomial entries."""
+    """det(I - x M) from the characteristic polynomial of the integer matrix D M.
+
+    With D the common denominator of M's entries and chi = det(yI - DM) of
+    degree m, det(I - x M) = (x/D)^m chi(D/x) = sum_k chi[m - k] (x/D)^k.
+    """
     m = len(rows)
-    # polynomial entries: I - xM
-    ent = [[(Fraction(1 if i == j else 0), -rows[i][j]) for j in range(m)] for i in range(m)]
-
-    def det_expand(active_rows, active_cols):
-        if not active_rows:
-            return (Fraction(1),)
-        r = active_rows[0]
-        acc = ()
-        for idx, c in enumerate(active_cols):
-            e = ent[r][c]
-            if not any(e):
-                continue
-            term = mul(e, det_expand(active_rows[1:], active_cols[:idx] + active_cols[idx + 1:]))
-            acc = add(acc, neg(term) if idx % 2 else term)
-        return acc
-
-    return det_expand(list(range(m)), list(range(m)))
+    D = math.lcm(*(x.denominator for row in rows for x in row))
+    chi = char_poly([[int(x * D) for x in row] for row in rows])
+    return trim(Fraction(chi[m - k], D**k) for k in range(m + 1))
 
 
 def mcmullen_growth(gw: WeightedGraph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:

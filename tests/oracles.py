@@ -1,7 +1,7 @@
 """Independent generators and censuses used as test oracles."""
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -124,3 +124,21 @@ def weighted_clique_sum(n, edges, alpha, d):
     while coeffs[-1] == 0:
         coeffs.pop()
     return L, tuple(coeffs)
+
+
+def trace_class(word, commute):
+    """Every word reachable from ``word`` by swapping adjacent letters a != b
+    with ``commute(a, b)``, by breadth-first search; no pcpoly code."""
+    start = tuple(word)
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        w = todo.popleft()
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a != b and commute(a, b):
+                v = w[:i] + (b, a) + w[i + 2:]
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return seen

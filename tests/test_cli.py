@@ -1,5 +1,7 @@
 """Command-line surface: verbs parse, outputs are machine-readable."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -301,3 +303,32 @@ def test_text_format(capsys):
     code = main(["beta", "K4"])
     out = capsys.readouterr().out
     assert "multiplicity: 4" in out
+
+
+CSV_CALLS = [
+    ["poly", "C5"], ["beta", "K3"], ["profile", "C5"], ["monoid", "P3", "--lie", "3"],
+    ["transform", "C4", "--reduce"], ["transform", "C4", "--kelmans", "0", "1"],
+    ["extremal", "max", "5", "4"], ["extremal", "min", "5", "4"], ["planar", "5", "6"],
+    ["nordhaus-gaddum", "C5"], ["random", "pc"], ["random", "beta"],
+    ["random", "ladder", "--t", "20"], ["random", "beta0"], ["random", "series", "--r", "2"],
+    ["lll", "C4"], ["lll", "C4", "--probs", "1/10", "1/10", "1/10", "1/10"],
+    ["matching", "C5"], ["adjoint", "C5"], ["spectral", "C4"],
+    ["survey", "nonreal", "4"], ["survey", "bounds", "4"], ["survey", "extremal", "4"],
+    ["survey", "average", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_CALLS, ids=" ".join)
+def test_csv_parses_to_a_header_and_one_row_of_its_width(capsys, argv):
+    main([*argv, "--format", "csv"])
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(header) == len(row) and header == sorted(header)
+
+
+def test_csv_quotes_only_what_needs_it(capsys):
+    main(["beta", "K3", "--format", "csv"])
+    assert capsys.readouterr().out == "approx,hi,lo,multiplicity\n1.0,1,1,3\n"
+    main(["profile", "C5", "--format", "csv"])
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "clique_number,counts,decycling_number,independence_at_minus_one"
+    assert row == '2,"[1, 5, 5]",1,1'

@@ -500,6 +500,41 @@ def test_integer_kernel_builds_no_fractions(monkeypatch):
     assert len(built) == 4
 
 
+def test_cauchy_bound_in_lowest_terms():
+    assert exactpoly.cauchy_bound((2, -6, 4)) == (5, 2)  # 1 + 6/4, not 10/4
+    assert exactpoly.cauchy_bound((-2, 0, 1)) == (3, 1)
+
+
+def test_refinement_returns_integers_and_leaves_an_adjacent_root():
+    # x^3 - 2x on (0, 3]: the left end is the root 0, the enclosed root is sqrt(2)
+    p = (0, -2, 0, 1)
+    a, b, d = exactpoly._refine_simple_root(p, 0, 3, 1, F(1, 2**20))
+    assert all(type(v) is int for v in (a, b, d))
+    assert 0 < a and a * a < 2 * d * d < b * b and (b - a) * 2**20 <= d
+
+
+def test_ends_move_off_the_roots_of_other_factors():
+    # sqrt(2) in (0, 3/2]; x (2x - 3) (x^2 - 2) vanishes at both ends
+    q = mul(mul((0, 1), (-3, 2)), (-2, 0, 1))
+    a, b, d = exactpoly._move_ends_off_roots((-2, 0, 1), q, 0, 3, 2)
+    # lo + (hi - lo)/4, then hi - (hi - lo)/16: the first step from 3/2 lands below sqrt(2)
+    assert (F(a, d), F(b, d)) == (F(3, 8), F(183, 128))
+    # a candidate on the enclosed root comes back as a point: 1 = 0 + (4 - 0)/4
+    assert exactpoly._move_ends_off_roots((-1, 1), (0, -1, 1), 0, 4, 1) == (4, 4, 4)
+
+
+def test_equality_certificate_decides_by_signs(monkeypatch):
+    root2 = AlgebraicReal((-2, 0, 1), 1, 2)
+    other = AlgebraicReal(mul((-2, 0, 1), (5, 1)), F(7, 5), F(3, 2))
+    calls = _count_calls(monkeypatch, ("sturm_chain", "count_roots_halfopen"))
+    assert root2.compare(other) == 0 and other.compare(root2) == 0
+    assert not calls
+    # gcd x^2 - 2 has one sign on the overlap (29/20, 8/5]: no common root there
+    three_halves = AlgebraicReal(mul((-2, 0, 1), (-3, 2)), F(29, 20), F(8, 5))
+    assert three_halves.compare(AlgebraicReal((-2, 0, 1), 1, 2)) == 1
+    assert not calls
+
+
 def test_enclosure_holding_another_factors_root():
     # beta = sqrt(2 + 1e-9) is simple; sqrt(2), a double root, lies 3.5e-10 below it
     p = mul(mul((-2, 0, 1), (-2, 0, 1)), (-(2 * 10**9 + 1), 0, 10**9))

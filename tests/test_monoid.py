@@ -3,9 +3,11 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+from oracles import trace_class
 from pcpoly import monoid
 from pcpoly.cliquepoly import beta
 from pcpoly.graphs import (
@@ -38,6 +40,30 @@ def test_normal_form_length_two():
     assert is_normal_form((1, 0), kbar2)  # free monoid: everything normal
     assert is_normal_form((0, 0, 1), k2)  # bba
     assert not is_normal_form((0, 1, 0), k2)  # bab
+
+
+def test_is_normal_form_is_the_lexicographic_maximum_of_its_trace_class():
+    # every word of length <= 5 on every labelled graph with n <= 4, under the
+    # default order and three seeded ones; the greatest letter has rank 0
+    rng = random.Random(20261019)
+    for n in range(1, 5):
+        slots = edge_slots(n)
+        for mask in range(1 << len(slots)):
+            g = graph_from_edge_mask(n, mask, slots)
+            classes = {}  # word -> its trace class
+            for length in range(6):
+                for w in product(range(n), repeat=length):
+                    if w not in classes:
+                        cls = frozenset(trace_class(w, g.has_edge))
+                        classes.update(dict.fromkeys(cls, cls))
+            orders = [VertexOrder.default(n)]
+            orders += [VertexOrder(tuple(rng.sample(range(n), n))) for _ in range(3)]
+            for order in orders:
+                rank = order.rank()
+                top = {cls: min(cls, key=lambda w: [rank[c] for c in w])
+                       for cls in set(classes.values())}
+                for w, cls in classes.items():
+                    assert is_normal_form(w, g, order) == (w == top[cls]), (n, mask, order, w)
 
 
 def test_free_monoid_all_normal():
