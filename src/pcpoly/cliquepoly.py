@@ -261,10 +261,6 @@ def spectral_radius(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
     return dominant_real_root(adjacency_char_poly(g), width)
 
 
-def spectral_radius_algebraic(g: Graph) -> AlgebraicReal:
-    return AlgebraicReal.dominant_root(adjacency_char_poly(g), Fraction(1, 2**24))
-
-
 def is_complete_multipartite_equal_parts(g: Graph) -> bool:
     """True iff the complement is a disjoint union of equal-size cliques."""
     comp = complement(g)

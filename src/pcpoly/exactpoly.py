@@ -482,7 +482,8 @@ def _root_enclosures(factor, chain, mult, sqfull, width):
     caller asks for the next enclosure.
     """
     m, d = cauchy_bound(factor)
-    stack = [(-m, m, d, _variations_nd(chain, -m, d), _variations_nd(chain, m, d))]
+    # no root lies outside (-m/d, m/d), so Sturm's counts there are those at -inf and +inf
+    stack = [(-m, m, d, variations_at_inf(chain, False), variations_at_inf(chain, True))]
     while stack:
         a, b, d, va, vb = stack.pop()
         if va == vb:
@@ -594,19 +595,6 @@ class AlgebraicReal:
         return AlgebraicReal((-q.numerator, q.denominator), q, q)
 
     @staticmethod
-    def from_enclosure(p, enc: RootEnclosure) -> "AlgebraicReal":
-        """The root of ``p`` that ``enc`` (from this module's isolation) encloses.
-
-        The defining polynomial is the squarefree factor of multiplicity
-        ``enc.multiplicity``: the enclosure isolates one root of that factor,
-        while a root of another factor may lie inside it.
-        """
-        for mult, factor in squarefree_decomposition(clear_denominators(p)):
-            if mult == enc.multiplicity:
-                return AlgebraicReal(factor, enc.lo, enc.hi)
-        raise ValueError(f"no root of multiplicity {enc.multiplicity}")
-
-    @staticmethod
     def dominant_root(p, width=Fraction(1, 10**6)) -> "AlgebraicReal":
         enc, factor = _dominant_root_and_factor(p, width)
         return AlgebraicReal(factor, enc.lo, enc.hi)
@@ -662,15 +650,18 @@ class AlgebraicReal:
             return self.compare_fraction(other.lo)
         if self.is_rational():
             return -other.compare_fraction(self.lo)
-        # certified equality test: a root of g = gcd in the overlap [a, b].  g
-        # divides the squarefree self.poly, whose one root in (lo, hi] is
-        # simple, so g has at most one root in (a, b], and it is simple
+        # certified equality test: a root of g = gcd in the overlap (a, b],
+        # where a lies in neither interval.  g divides the squarefree
+        # self.poly, whose one root in (lo, hi] is simple, so g has at most one
+        # root in (a, b], and every root of g is simple: at a root a, g' gives
+        # the sign of g just right of a
         g = gcd_int(self.poly, other.poly)
         a = max(self.lo, other.lo)
         b = min(self.hi, other.hi)
-        if len(g) > 1 and a <= b:
-            sa, sb = _sign_at(g, a), _sign_at(g, b)
-            if sa == 0 or sb == 0 or sa != sb:
+        if len(g) > 1 and a < b:
+            sa = _sign_at(g, a) or _sign_at(derivative(g), a)
+            sb = _sign_at(g, b)
+            if sb == 0 or sa != sb:
                 return 0
         while True:
             if self.hi < other.lo:
@@ -702,11 +693,6 @@ def _taylor_shift(coeffs, c) -> list:
         for j in range(n - 2, i - 1, -1):
             work[j] += work[j + 1] * c
     return work
-
-
-def shift_poly(p, c):
-    """p(x + c) for rational c."""
-    return trim(_taylor_shift([Fraction(x) for x in p], Fraction(c)))
 
 
 def _descartes_bound(p, t) -> int:
@@ -902,20 +888,6 @@ class QuadSurd:
             lo, hi = -hi, -lo
         return RatInterval((self.a + lo) / self.c, (self.a + hi) / self.c)
 
-    def compare_fraction(self, q) -> int:
-        q = Fraction(q)
-        # compare sgn*sqrt(b) with q*c - a
-        rhs = q * self.c - self.a
-        if self.b == 0:
-            return _sign(-rhs)
-        if self.sgn > 0:
-            if rhs < 0:
-                return 1
-            return _sign(self.b - rhs * rhs)
-        if rhs > 0:
-            return -1
-        return _sign(rhs * rhs - self.b)
-
     def min_poly(self):
         """Integer polynomial with this value as a root (degree <= 2)."""
         if self.b == 0:
@@ -954,18 +926,11 @@ def _exact_sqrt(q):
     return None
 
 
-def eval_at_surd(p, s: QuadSurd):
-    """Evaluate polynomial at a quadratic surd, exactly, as (u, v) = u + v*sqrt(b)."""
-    if s.is_rational():
-        return eval_at(p, s.as_fraction()), Fraction(0)
-    x_u = s.a / s.c
-    x_v = Fraction(s.sgn, 1) / s.c
-    u, v = Fraction(0), Fraction(0)
-    for c in reversed(p):
-        u, v = u * x_u + v * x_v * s.b + c, u * x_v + v * x_u
-    return u, v
-
-
 def is_root_surd(p, s: QuadSurd) -> bool:
-    u, v = eval_at_surd(p, s)
-    return u == 0 and v == 0
+    """Whether the surd is a root of ``p``, exactly.
+
+    The minimal polynomial of an irrational surd is irreducible over Q, as
+    :meth:`QuadSurd.make` rationalizes square radicands, so the surd is a root
+    iff it divides ``p``: iff the pseudo-remainder is zero.
+    """
+    return not _pseudo_rem_signed(clear_denominators(p), s.min_poly())

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 
@@ -397,28 +397,6 @@ def induced_subgraph_mask(g: Graph, mask: int) -> Graph:
     return induced_subgraph(g, bits(mask))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge ({u}, {v})")
-    adj = list(g.adj)
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
-    return Graph(g.n, tuple(adj))
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if u == v or g.has_edge(u, v):
-        raise GraphError(f"cannot add edge ({u}, {v})")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
-
-
 def line_rows(adj: Sequence[int]) -> tuple[int, ...]:
     """Adjacency rows of the line graph, on the edges in ``edge_list`` order.
 
@@ -494,27 +472,6 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def is_claw_free(g: Graph) -> bool:
-    """No induced star on three leaves."""
-    for v in range(g.n):
-        nb = bits(g.adj[v])
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                if g.has_edge(nb[i], nb[j]):
-                    continue
-                for k in range(j + 1, len(nb)):
-                    if not g.has_edge(nb[i], nb[k]) and not g.has_edge(nb[j], nb[k]):
-                        return False
-    return True
-
-
-def iter_all_graphs(n: int) -> Iterator[Graph]:
-    """All labelled graphs on n vertices, ordered by edge-slot bitmask."""
-    slots = edge_slots(n)
-    for mask in range(1 << len(slots)):
-        yield graph_from_edge_mask(n, mask, slots)
 
 
 def adj_from_edge_mask(n: int, mask: int, slots: Sequence[tuple[int, int]]) -> tuple:

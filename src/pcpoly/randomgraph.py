@@ -22,7 +22,6 @@ from .exactpoly import (
     RootEnclosure,
     _bisect,
     _descartes_bound,
-    _div_exact_int,
     _over_one_denominator,
     _sign_at,
     add,
@@ -33,7 +32,6 @@ from .exactpoly import (
     eval_at,
     isolate_real_roots,
     mul,
-    primitive,
     scale,
     sub,
     trim,
@@ -373,26 +371,3 @@ def f_n_polynomial(n: int) -> tuple:
     for k in range(n + 1):
         coeffs[k * (k - 1) // 2] += math.comb(n, k)
     return trim(coeffs)
-
-
-def f_n_divisible_by(n: int, divisor: tuple) -> bool:
-    """Exact divisibility test of f_n by the given integer polynomial.
-
-    By Gauss's lemma a primitive divisor of the integer f_n over Q divides it
-    in Z[x], so exact integer division decides it.
-    """
-    try:
-        _div_exact_int(f_n_polynomial(n), primitive(trim(divisor)))
-        return True
-    except ArithmeticError:
-        return False
-
-
-def ladder_curve_csv(r: int, t: int, grid) -> str:
-    """CSV rows p,value for the r-th limiting scaled root on a probability grid."""
-    lines = ["p,beta_over_n"]
-    for p in grid:
-        p = Fraction(p)
-        enc = ladder_limit_roots(r, p, t)
-        lines.append(f"{p},{float(enc.midpoint):.12f}")
-    return "\n".join(lines) + "\n"

@@ -84,7 +84,6 @@ from .graphs import (
     complement_adj,
     edge_slots,
     graph_classes,
-    line_rows,
     to_graph6,
 )
 from .matching import (
@@ -508,14 +507,9 @@ def _decide_adjoint(counts, adjoint) -> bool:
 
 
 def _visit_hat(adj, verdict, events, weight):
-    """The adjoint checks that depend on the vertex order, on adjacency rows."""
-    hat = hat_rows(adj)
-    if not hat_identity_holds(adj, clique_partition_counts(adj), hat):
+    """The partition-count identity, which depends on the vertex order, on adjacency rows."""
+    if not hat_identity_holds(adj, clique_partition_counts(adj), hat_rows(adj)):
         events["identity", _g6(adj)] += weight
-        return
-    # the hat graph must lie inside L(G), which joins edges sharing an endpoint
-    if any(h & ~l for h, l in zip(hat, line_rows(adj))):
-        events["subgraph", _g6(adj)] += weight
 
 
 def _visit_gamma(adj, verdict, events, weight):
@@ -525,10 +519,10 @@ def _visit_gamma(adj, verdict, events, weight):
 
 
 def census_adjoint_check(n: int) -> dict:
-    """Partition-count identity, conflict-graph containment, gamma <= t^2.
+    """Partition-count identity through the hat graph, and gamma <= t^2.
 
-    The first two depend on the vertex order and run on every labelled graph;
-    gamma <= t^2 is an invariant and runs once per class.
+    The identity depends on the vertex order and runs on every labelled
+    graph; gamma <= t^2 is an invariant and runs once per class.
     """
     _check_size(n)
     events = _census(_labelled_graphs(n), _visit_hat)
@@ -536,7 +530,6 @@ def census_adjoint_check(n: int) -> dict:
     return {
         "identity": [g6 for tag, g6 in events if tag == "identity"],
         "gamma": [g6 for tag, g6 in events if tag == "gamma"],
-        "subgraph": [g6 for tag, g6 in events if tag == "subgraph"],
     }
 
 

@@ -1,11 +1,23 @@
-"""Independent generators and censuses used as test oracles."""
+"""Independent generators and censuses used as test oracles, and the checks
+of the paper's claims that only the tests run."""
 
 import math
 from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import combinations
 
-from pcpoly.exactpoly import scale, trim
+from pcpoly.exactpoly import (
+    AlgebraicReal,
+    _div_exact_int,
+    clear_denominators,
+    eval_at,
+    primitive,
+    scale,
+    squarefree_decomposition,
+    trim,
+)
+from pcpoly.graphs import bits, edge_slots, graph_from_edge_mask
+from pcpoly.randomgraph import f_n_polynomial, ladder_limit_roots
 
 
 def pad_zip(a, b):
@@ -142,3 +154,91 @@ def trace_class(word, commute):
                     seen.add(v)
                     todo.append(v)
     return seen
+
+
+def iter_all_graphs(n):
+    """All labelled graphs on n vertices, ordered by edge-slot bitmask."""
+    slots = edge_slots(n)
+    for mask in range(1 << len(slots)):
+        yield graph_from_edge_mask(n, mask, slots)
+
+
+def is_claw_free(g):
+    """No induced star on three leaves."""
+    for v in range(g.n):
+        nb = bits(g.adj[v])
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                if g.has_edge(nb[i], nb[j]):
+                    continue
+                for k in range(j + 1, len(nb)):
+                    if not g.has_edge(nb[i], nb[k]) and not g.has_edge(nb[j], nb[k]):
+                        return False
+    return True
+
+
+def hat_rows_by_definition(adj):
+    """Rows of the edge-conflict graph, edges (u, v) with u < v in sorted order.
+
+    Two edges clash iff they share an endpoint, unless they share their
+    smaller endpoint and their upper ends are adjacent; no pcpoly code.
+    """
+    n = len(adj)
+    edges = sorted((u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1)
+    rows = []
+    for e in edges:
+        row = 0
+        for b, f in enumerate(edges):
+            exempt = e[0] == f[0] and adj[e[1]] >> f[1] & 1
+            if e != f and set(e) & set(f) and not exempt:
+                row |= 1 << b
+        rows.append(row)
+    return tuple(rows)
+
+
+def f_n_divisible_by(n, divisor):
+    """Exact divisibility test of f_n by the given integer polynomial.
+
+    By Gauss's lemma a primitive divisor of the integer f_n over Q divides it
+    in Z[x], so exact integer division decides it.
+    """
+    try:
+        _div_exact_int(f_n_polynomial(n), primitive(trim(divisor)))
+        return True
+    except ArithmeticError:
+        return False
+
+
+def ladder_curve_csv(r, t, grid):
+    """CSV rows p,value for the r-th limiting scaled root on a probability grid."""
+    lines = ["p,beta_over_n"]
+    for p in grid:
+        p = F(p)
+        enc = ladder_limit_roots(r, p, t)
+        lines.append(f"{p},{float(enc.midpoint):.12f}")
+    return "\n".join(lines) + "\n"
+
+
+def from_enclosure(p, enc):
+    """The root of ``p`` that ``enc`` (from pcpoly's isolation) encloses, as an AlgebraicReal.
+
+    The defining polynomial is the squarefree factor of multiplicity
+    ``enc.multiplicity``: the enclosure isolates one root of that factor,
+    while a root of another factor may lie inside it.
+    """
+    for mult, factor in squarefree_decomposition(clear_denominators(p)):
+        if mult == enc.multiplicity:
+            return AlgebraicReal(factor, enc.lo, enc.hi)
+    raise ValueError(f"no root of multiplicity {enc.multiplicity}")
+
+
+def eval_at_surd(p, s):
+    """Evaluate a polynomial at a quadratic surd, exactly, as (u, v) = u + v*sqrt(b)."""
+    if s.is_rational():
+        return eval_at(p, s.as_fraction()), F(0)
+    x_u = s.a / s.c
+    x_v = F(s.sgn, 1) / s.c
+    u, v = F(0), F(0)
+    for c in reversed(p):
+        u, v = u * x_u + v * x_v * s.b + c, u * x_v + v * x_u
+    return u, v

@@ -19,6 +19,7 @@ from pcpoly.exactpoly import (
     QuadSurd,
     RatInterval,
     _sign_at,
+    _taylor_shift,
     count_nonreal_roots,
     count_roots_halfopen,
     degree,
@@ -29,7 +30,6 @@ from pcpoly.exactpoly import (
     isolate_real_roots,
     mul,
     real_root_count,
-    shift_poly,
     sqrt_interval,
     squarefree_decomposition,
     sturm_chain,
@@ -37,6 +37,8 @@ from pcpoly.exactpoly import (
 )
 from pcpoly.graphs import from_edges, graph_classes
 from pcpoly.matching import matching_polynomials
+
+from oracles import eval_at_surd, from_enclosure
 
 
 def test_real_root_count_examples():
@@ -157,7 +159,7 @@ def test_algebraic_compare_is_an_exact_order(p, q):
     # the roots of p * q repeat those of p with another defining polynomial
     pq = mul(p, q)
     numbers = [
-        (AlgebraicReal.from_enclosure(poly, enc), root)
+        (from_enclosure(poly, enc), root)
         for poly in (p, pq)
         for enc, root in zip(isolate_real_roots(poly, F(1, 2**8)),
                              sorted(set(_sympy_real_roots(poly))))
@@ -328,7 +330,7 @@ def test_compare_fraction_matches_the_exact_root(p, width):
             points.add(F(int(root.p), int(root.q)))
         for q in points:
             # a fresh number per point: each one starts from the isolating interval
-            alg = AlgebraicReal.from_enclosure(p, enc)
+            alg = from_enclosure(p, enc)
             exact = sympy.Rational(q.numerator, q.denominator)
             assert alg.compare_fraction(q) == bool(root > exact) - bool(root < exact)
             assert alg.lo <= alg.hi and (alg.lo == alg.hi == root or alg.lo < root <= alg.hi)
@@ -374,12 +376,77 @@ def test_dominant_root_within_at_exact_ends():
 def test_quad_surd():
     s = QuadSurd.make(5, 5, 2)  # (5 + sqrt 5)/2
     assert is_root_surd((5, -5, 1), s)
-    assert s.compare_fraction(F(36, 10)) > 0
-    assert s.compare_fraction(F(37, 10)) < 0
+    assert s.to_algebraic().compare_fraction(F(36, 10)) > 0
+    assert s.to_algebraic().compare_fraction(F(37, 10)) < 0
     alg = s.to_algebraic()
     assert alg.compare(AlgebraicReal.dominant_root((5, -5, 1))) == 0
     rationalized = QuadSurd.make(1, 4, 2)  # (1 + 2)/2
     assert rationalized.is_rational() and rationalized.as_fraction() == F(3, 2)
+
+
+def _surd_cases():
+    """Irrational surds of both signs, surds that ``make`` rationalizes, and rationals."""
+    irrational = [QuadSurd.make(a, b, c, sgn) for a, b, c in
+                  ((5, 5, 2), (0, 2, 1), (1, 3, 1), (F(2, 3), F(7, 5), 3), (-4, 12, 5), (7, 33, 2))
+                  for sgn in (1, -1)]
+    rational = [QuadSurd.make(1, 4, 2), QuadSurd.make(3, F(9, 4), -2, -1), QuadSurd.make(F(5, 7), 0, 1)]
+    assert not any(s.is_rational() for s in irrational) and all(s.is_rational() for s in rational)
+    return irrational + rational
+
+
+def _agrees_with_evaluation(p, s):
+    """is_root_surd(p, s), checked against the exact value at s and at its conjugate."""
+    conjugate = QuadSurd.make(s.a, s.b, s.c, -s.sgn)
+    verdict = is_root_surd(p, s)
+    assert verdict == (eval_at_surd(p, s) == (0, 0)), (p, s)
+    assert is_root_surd(p, conjugate) == (eval_at_surd(p, conjugate) == (0, 0)) == verdict
+    return verdict
+
+
+def test_is_root_surd_matches_evaluation_at_the_surd():
+    rng = random.Random(20261020)
+    for s in _surd_cases():
+        for _ in range(30):
+            p = trim([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)])
+            multiple = mul(p, s.min_poly())
+            c = rng.choice((-3, -1, 1, 2, F(1, 2)))
+            assert _agrees_with_evaluation(multiple, s)
+            assert _agrees_with_evaluation(tuple(F(x, 7) for x in multiple), s)
+            assert not _agrees_with_evaluation(exactpoly.add(multiple, (c,)), s)
+            _agrees_with_evaluation(p, s)  # either verdict, as the evaluation decides
+    assert _agrees_with_evaluation((), QuadSurd.make(0, 2, 1))  # the zero polynomial
+
+
+def test_is_root_surd_on_every_extremal_prediction():
+    from pcpoly.extremal import min_beta_graph, planar_extremes
+
+    predictions = 0
+    for n in range(1, 8):
+        for k in range(n * (n - 1) // 2 + 1):
+            res = min_beta_graph(n, k)
+            pairs = [(res.graph, res.predicted_beta)]
+            try:
+                planar = planar_extremes(n, k)
+            except ValueError:
+                planar = None
+            if planar is not None:
+                pairs += [(planar.g_minus, planar.lambda_minus), (planar.g_plus, planar.lambda_plus)]
+            for g, pred in pairs:
+                if isinstance(pred, QuadSurd):
+                    assert _agrees_with_evaluation(pc_polynomial(g), pred), (n, k)
+                    predictions += 1
+    assert predictions == 103
+
+
+def test_compare_overlap_excludes_its_open_left_end():
+    # sqrt 2 in (0, 3] against 0 in (-1, 1]: the gcd x vanishes at the overlap's open end 0
+    root2 = (0, -2, 0, 1)
+    assert AlgebraicReal(root2, 0, 3).compare(AlgebraicReal((0, -3, 0, 1), -1, 1)) == 1
+    # sqrt 2 against sqrt 3, both in (0, 3]: the shared factor x has its root at 0 only
+    assert AlgebraicReal(root2, 0, 3).compare(AlgebraicReal((0, -3, 0, 1), 0, 3)) == -1
+    # sqrt 2 through two polynomials: the gcd x^3 - 2x has roots at 0 and in (0, 2]
+    other = AlgebraicReal(mul(root2, (5, 1)), 0, 3)
+    assert AlgebraicReal(root2, 0, 2).compare(other) == 0
 
 
 def test_descartes_shift_filter():
@@ -389,11 +456,11 @@ def test_descartes_shift_filter():
     assert not descartes_no_root_above(p, F(1414213562373095, 10**15))
 
 
-def test_shift_poly():
-    assert shift_poly((0, 0, 1), 1) == (F(1), F(2), F(1))
+def test_taylor_shift():
+    assert _taylor_shift([F(0), F(0), F(1)], F(1)) == [F(1), F(2), F(1)]
     p = (3, -1, 4, 2)
     for t in (F(1, 3), F(-2, 7)):
-        shifted = shift_poly(p, t)
+        shifted = _taylor_shift([F(c) for c in p], t)
         assert eval_at(shifted, F(5, 11)) == eval_at(p, F(5, 11) + t)
 
 
@@ -548,14 +615,14 @@ def test_enclosure_holding_another_factors_root():
     # both enclosures overlap inside compare's 2^-10 refinement floor
     assert beta.compare(AlgebraicReal.dominant_root((-2, 0, 1))) > 0
     [enc] = [e for e in isolate_real_roots(p, F(1, 10**6)) if e.lo > 0 and e.multiplicity == 1]
-    assert AlgebraicReal.from_enclosure(p, enc).poly == beta.poly
+    assert from_enclosure(p, enc).poly == beta.poly
 
 
 @settings(max_examples=40, deadline=None)
 @given(_polys_with_real_roots(), st.sampled_from((F(1, 2**8), F(1, 2**24))))
 def test_from_enclosure_isolates_one_root_of_its_polynomial(p, width):
     for enc in isolate_real_roots(p, width):
-        alg = AlgebraicReal.from_enclosure(p, enc)
+        alg = from_enclosure(p, enc)
         if enc.is_exact():
             assert eval_at(alg.poly, enc.lo) == 0
         else:

@@ -17,8 +17,6 @@ from pcpoly.graphs import (
     graph_from_edge_mask,
     graph_join_union,
     induced_subgraph,
-    is_claw_free,
-    iter_all_graphs,
     line_graph,
     parse_graph,
     parse_graph6,
@@ -26,6 +24,8 @@ from pcpoly.graphs import (
     to_edge_list,
     to_graph6,
 )
+
+from oracles import is_claw_free, iter_all_graphs
 
 
 def test_named_families():

@@ -13,8 +13,8 @@ from pcpoly.exactpoly import (
     count_nonreal_roots,
     eval_at,
     mul,
+    _taylor_shift,
     scale,
-    shift_poly,
     to_fraction_poly,
     trim,
 )
@@ -23,8 +23,8 @@ from pcpoly.graphs import (
     complete_multipartite,
     edge_slots,
     from_edges,
+    graph_classes,
     graph_from_edge_mask,
-    iter_all_graphs,
     line_graph,
     parse_graph,
 )
@@ -35,6 +35,7 @@ from pcpoly.matching import (
     gamma_algebraic,
     MATCHING_MAX_VERTICES,
     hat_graph,
+    hat_rows,
     matching_counts,
     matching_counts_from_adj,
     matching_polynomials,
@@ -44,6 +45,7 @@ from pcpoly.matching import (
 
 
 from oracles import chebyshev_2tn_half as _chebyshev_2tn_half
+from oracles import hat_rows_by_definition, is_claw_free, iter_all_graphs
 from oracles import hermite_prob as _hermite
 from oracles import laguerre_scaled as _laguerre_scaled
 from oracles import matching_counts_recursive as _matching_counts_recursive
@@ -133,7 +135,7 @@ def test_t_squared_check_is_live(monkeypatch, shift):
 
     def shifted(counts):
         # p(x - shift): every root moves by ``shift``
-        return clear_denominators(shift_poly(unshifted(counts), -shift))
+        return clear_denominators(_taylor_shift([F(c) for c in unshifted(counts)], -shift))
 
     monkeypatch.setattr(matching, "pc_poly_from_counts", shifted)
     with pytest.raises(AssertionError, match="t\\^2"):
@@ -185,7 +187,6 @@ def test_heilmann_lieb_small():
 
 def test_chudnovsky_seymour_small():
     from pcpoly.cliquepoly import clique_type_polynomial
-    from pcpoly.graphs import is_claw_free
 
     for n in range(1, 6):
         for g in iter_all_graphs(n):
@@ -221,6 +222,14 @@ def test_hat_graph_spanning_subgraph_of_line_graph():
         lg = line_graph(g)
         assert hg.n == lg.n
         assert all(hg.adj[i] & ~lg.adj[i] == 0 for i in range(hg.n))
+
+
+def test_hat_rows_match_their_definition():
+    # every labelled graph to n = 5 and every class to n = 7, edgeless ones included
+    graphs = [g.adj for n in range(1, 6) for g in iter_all_graphs(n)]
+    graphs += [adj for n in range(1, 8) for adj, _ in graph_classes(n)]
+    for adj in graphs:
+        assert hat_rows(adj) == hat_rows_by_definition(adj), adj
 
 
 def test_gamma_bounded_by_t_squared():

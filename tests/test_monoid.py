@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from oracles import trace_class
+from oracles import iter_all_graphs, trace_class
 from pcpoly import monoid
 from pcpoly.cliquepoly import beta
 from pcpoly.graphs import (
@@ -15,7 +15,6 @@ from pcpoly.graphs import (
     from_edges,
     graph_from_edge_mask,
     graph_union,
-    iter_all_graphs,
     parse_graph,
 )
 from pcpoly.monoid import (

@@ -18,21 +18,20 @@ from pcpoly.exactpoly import (
     to_fraction_poly,
     trim,
 )
-from pcpoly.graphs import iter_all_graphs
 from pcpoly.randomgraph import (
     SERIES_TERMS,
     beta0_constant,
     beta_random,
     beta_series,
     clique_random,
-    f_n_divisible_by,
     f_n_polynomial,
-    ladder_curve_csv,
     ladder_limit_roots,
     pc_random,
     random_root_ladder,
     truncation_poly,
 )
+
+from oracles import f_n_divisible_by, iter_all_graphs, ladder_curve_csv
 
 GRID = (F(1, 10), F(1, 2), F(9, 10))
 

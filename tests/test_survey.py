@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import iter_all_graphs
 from pcpoly import exactpoly, survey
 from pcpoly.extremal import max_beta_construction, max_beta_equality_family
 from pcpoly.graphs import (
@@ -15,7 +16,6 @@ from pcpoly.graphs import (
     complement,
     edge_slots,
     graph_classes,
-    iter_all_graphs,
 )
 from pcpoly.cliquepoly import clique_counts, clique_profile
 from pcpoly.exactpoly import AlgebraicReal
@@ -309,8 +309,8 @@ def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypat
         monkeypatch.setattr(matching, fn, counted)
         monkeypatch.setattr(survey, fn, counted)
     res = census_adjoint_check(5)
-    assert res == {"identity": [], "gamma": [], "subgraph": []}
-    # the hat checks visit every labelled graph; the gamma check every class with an edge
+    assert res == {"identity": [], "gamma": []}
+    # the hat check visits every labelled graph; the gamma check every class with an edge
     graphs, classes = 1 << 10, len(graph_classes(5))
     assert calls == {"clique_partition_counts": graphs + classes - 1, "hat_rows": graphs}
 
@@ -332,7 +332,7 @@ CLASS_CENSUSES = {
     "identity": census_identity_check,
     "monoid": lambda n: census_monoid_check(n, maxlen=4),
     "decycling": census_decycling_check,
-    "adjoint": census_adjoint_check,  # its gamma check; the hat checks are labelled anyway
+    "adjoint": census_adjoint_check,  # its gamma check; the hat check is labelled anyway
 }
 # n <= 5 only, to keep the labelled runs short
 SLOW_AT_6 = ("identity", "monoid", "decycling", "adjoint")

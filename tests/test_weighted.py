@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import weighted_clique_sum
+from oracles import iter_all_graphs, weighted_clique_sum
 from pcpoly.cliquepoly import beta
 from pcpoly.exactpoly import count_nonreal_roots, clear_denominators
 from pcpoly.graphs import (
@@ -170,8 +170,6 @@ def test_lll_flip_across_threshold():
 
 def test_shearer_bound_small():
     # threshold >= (d-1)^(d-1)/d^d for dependency max degree d >= 2
-    from pcpoly.graphs import iter_all_graphs
-
     for n in range(2, 6):
         for g in iter_all_graphs(n):
             d = g.max_degree()
