@@ -10,7 +10,6 @@ line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -31,6 +30,8 @@ def _load_graph(args):
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
+        import json  # only here: text output loads no json module
+
         print(json.dumps(payload, default=str, sort_keys=True))
     elif fmt == "csv":
         import csv  # only here: start-up loads no csv module

@@ -10,10 +10,10 @@ number, and the adjacency spectral radius, all in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import _Record
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
@@ -34,8 +34,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class CliqueProfile:
+class CliqueProfile(_Record):
     """Counts (c_0=1, c_1, ..., c_omega) of complete subgraphs by size."""
 
     counts: tuple[int, ...]
@@ -163,17 +162,6 @@ def beta(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
 def beta_algebraic(g: Graph) -> AlgebraicReal:
     """beta(G) as an exactly comparable algebraic number."""
     return AlgebraicReal.dominant_root(pc_polynomial(g), Fraction(1, 2**24))
-
-
-def compare_beta(g1: Graph, g2: Graph) -> str:
-    """Exact three-way comparison of two growth rates.
-
-    Refines both enclosures until disjoint; ties are settled by a shared
-    common factor of the defining polynomials, so "equal" is certified and
-    never a numerically-equal guess.
-    """
-    c = beta_algebraic(g1).compare(beta_algebraic(g2))
-    return "less" if c < 0 else "greater" if c > 0 else "equal"
 
 
 def independence_polynomial(g: Graph) -> tuple:

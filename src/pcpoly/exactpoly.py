@@ -15,9 +15,10 @@ question about where a largest root lies goes through :class:`DominantRoot`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+
+from . import _Record
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
 # starting enclosure width of a largest root before a certified comparison refines it
@@ -341,8 +342,7 @@ def cauchy_bound(p) -> tuple[int, int]:
 # enclosures
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
+class RootEnclosure(_Record):
     """Rational interval [lo, hi] certified to contain exactly one real root."""
 
     lo: Fraction
@@ -780,8 +780,7 @@ def sqrt_interval(q, eps) -> tuple[Fraction, Fraction]:
     return lo, Fraction(s + 1, den << k)
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(_Record):
     """Closed rational interval used to evaluate nested radicals exactly."""
 
     lo: Fraction
@@ -851,8 +850,7 @@ def _as_interval(x):
 # quadratic surds (a + sgn*sqrt(b)) / c
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(_Record):
     """Exact quadratic value (a + sgn*sqrt(b)) / c with rationals a, b >= 0, c > 0."""
 
     a: Fraction

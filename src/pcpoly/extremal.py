@@ -8,10 +8,10 @@ latter conditional on a conjecture, and labelled as such).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import _Record
 from .cliquepoly import beta, pc_polynomial
 from .exactpoly import (
     DominantRoot,
@@ -38,8 +38,7 @@ from .graphs import (
 Predicted = object  # Fraction | QuadSurd | RootEnclosure
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(_Record):
     graph: Graph
     predicted_beta: Predicted
     bound_kind: str  # "max" | "min"
@@ -267,8 +266,7 @@ def _surd_plus_one(s: QuadSurd) -> QuadSurd:
 # planar extremes
 
 
-@dataclass(frozen=True)
-class PlanarExtremes:
+class PlanarExtremes(_Record):
     lambda_minus: Predicted
     lambda_plus: Predicted
     g_minus: Graph

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
+
+from . import _Record
 
 MAX_VERTICES = 64
 
@@ -66,8 +67,7 @@ def _valid_rows(adj: Sequence[int]) -> bool:
     return t == packed
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     n: int
     adj: tuple[int, ...]
 
@@ -468,10 +468,6 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
         comps.append(seen)
         remaining &= ~seen
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
 
 
 def adj_from_edge_mask(n: int, mask: int, slots: Sequence[tuple[int, int]]) -> tuple:

@@ -11,13 +11,12 @@ graph.  Both pack their counts into one integer like the clique counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _Record
 from .cliquepoly import CLIQUE_MEMO_LIMIT, independence_counts, pc_poly_from_counts, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
-    AlgebraicReal,
     DominantRoot,
     RootEnclosure,
     dominant_real_root,
@@ -26,8 +25,7 @@ from .exactpoly import (
 from .graphs import Graph, edge_list, line_rows
 
 
-@dataclass(frozen=True)
-class MatchingPair:
+class MatchingPair(_Record):
     """Signed matching polynomial mu (degree n) and generating polynomial M."""
 
     mu: tuple  # ascending integer coefficients, degree n
@@ -143,18 +141,6 @@ def t_largest(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
     return _matching_and_t(g, width)[1]
 
 
-def t_squared_algebraic(g: Graph) -> AlgebraicReal:
-    """t(G)^2 exactly, the largest root of the recurrence polynomial of the matching counts.
-
-    That polynomial g has mu(x) = x^sigma g(x^2); it is the recurrence
-    polynomial of co-L(G), so t^2 is the growth rate of co-L(G).  An
-    edgeless graph has mu = x^n and t = 0.
-    """
-    if g.edge_count == 0:
-        return AlgebraicReal.from_rational(0)
-    return AlgebraicReal.dominant_root(pc_poly_from_counts(matching_polynomials(g).generating))
-
-
 # ---------------------------------------------------------------------------
 # adjoint polynomial
 
@@ -211,10 +197,6 @@ def adjoint_polynomial(g: Graph) -> tuple:
     return trim((-1) ** (n - k) * counts[k] for k in range(n + 1))
 
 
-def adjoint_unsigned(g: Graph) -> tuple:
-    return trim(clique_partition_counts(g.adj))
-
-
 def hat_rows(adj) -> tuple[int, ...]:
     """Adjacency rows of the edge-conflict graph, on the edges in ``edge_list`` order.
 
@@ -263,12 +245,3 @@ def hat_identity_holds(adj, partitions, hat) -> bool:
     for j, c in enumerate(independence_counts(hat, len(hat))):
         lifted[n - j] = c
     return trim(partitions) == trim(lifted)
-
-
-def adjoint_identity_holds(g: Graph) -> bool:
-    """:func:`hat_identity_holds` for a ``Graph``."""
-    return hat_identity_holds(g.adj, clique_partition_counts(g.adj), hat_rows(g.adj))
-
-
-def gamma_algebraic(g: Graph) -> AlgebraicReal:
-    return AlgebraicReal.dominant_root(adjoint_polynomial(g))

@@ -8,18 +8,16 @@ everything up to a larger letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
+from . import _Record
 from .cliquepoly import clique_counts, pc_polynomial
 from .graphs import Graph
 
 Word = tuple
 
 
-@dataclass(frozen=True)
-class VertexOrder:
+class VertexOrder(_Record):
     """Total order on vertices; position 0 of ``perm`` is the greatest vertex."""
 
     perm: tuple[int, ...]
@@ -40,8 +38,7 @@ class VertexOrder:
         return tuple(r)
 
 
-@dataclass(frozen=True)
-class LieDims:
+class LieDims(_Record):
     """Dimensions l_1..l_N of the graded pieces of the free partially
     commutative Lie algebra on the commutation graph."""
 
@@ -320,24 +317,3 @@ def word_weight(word, p) -> Fraction:
         if is_normal_form(tuple(tagged_word), graph, order):
             total += p**ecount * (1 - p) ** (len(cross) - ecount)
     return total
-
-
-def expected_normal_count(n: int, t: int, p) -> Fraction:
-    """Sum of word weights over all words of length t on n letters.
-
-    Brute-force oracle for the random-graph recurrence; only sensible for
-    tiny n and t.
-    """
-    p = Fraction(p)
-    total = Fraction(0)
-    for word in product(range(n), repeat=t):
-        total += word_weight(word, p)
-    return total
-
-
-def expected_normal_count_recurrence(n: int, t: int, p) -> Fraction:
-    """Same expectation from the recurrence on the expected clique counts C(n, k) p^C(k, 2)."""
-    # imported here: survey imports this module, and randomgraph need not load with it
-    from .randomgraph import clique_random
-
-    return Fraction(_word_counts(clique_random(n, p), t)[t])

@@ -10,10 +10,10 @@ two largest scaled roots in p by exact power-series reversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
+from . import _Record
 from .exactpoly import (
     DEFAULT_WIDTH,
     AlgebraicReal,
@@ -44,8 +44,7 @@ from .exactpoly import (
 RANDOM_SIZE_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class RandomPC:
+class RandomPC(_Record):
     """Expected recurrence polynomial of G(n, p), exact rational coefficients."""
 
     n: int
@@ -294,8 +293,7 @@ def beta0_constant(width: Fraction = Fraction(1, 10**10)) -> RootEnclosure:
 SERIES_TERMS = 25
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
+class SeriesCoeffs(_Record):
     """Series of the r-th scaled root in the edge probability."""
 
     r: int

@@ -45,10 +45,10 @@ argument and ignore it: the benchmark harness passes it positionally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
+from . import _Record
 from .cliquepoly import (
     clique_counts,
     decycling_number,
@@ -154,8 +154,7 @@ def _target(pred, poly=None) -> AlgebraicReal:
 # non-real root census
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(_Record):
     n: int
     graphs_total: int
     polys_with_nonreal: int

@@ -7,15 +7,13 @@ decreasing clique counts or the growth rate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import _Record
 from .graphs import Graph, GraphError, bits, threshold_graph
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
+class ThresholdVector(_Record):
     """0/1 construction string: append isolated (0) or dominating (1) vertices."""
 
     bits: tuple[int, ...]
@@ -240,14 +238,6 @@ def reduce_to_threshold(g: Graph):
 
 
 def steps_to_json(steps) -> str:
+    import json  # only here: start-up loads no json module
+
     return json.dumps([{"u": u, "v": v} for u, v in steps])
-
-
-def steps_from_json(text: str) -> list[tuple[int, int]]:
-    return [(entry["u"], entry["v"]) for entry in json.loads(text)]
-
-
-def replay_steps(g: Graph, steps) -> Graph:
-    for u, v in steps:
-        g = kelmans(g, u, v)
-    return g

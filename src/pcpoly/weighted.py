@@ -8,10 +8,10 @@ common denominator L, never by transcendental evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _Record
 from .cliquepoly import beta, char_poly, packed_clique_sum, unpack_limbs
 from .exactpoly import (
     DEFAULT_WIDTH,
@@ -25,8 +25,7 @@ from .exactpoly import (
 from .graphs import Graph, complement, induced_subgraph
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(_Record):
     graph: Graph
     alpha: tuple  # positive Fractions per vertex
     d: tuple  # positive Fractions per vertex
@@ -44,8 +43,7 @@ class WeightedGraph:
         return WeightedGraph(graph, (a,) * graph.n, (w,) * graph.n)
 
 
-@dataclass(frozen=True)
-class FractionalPoly:
+class FractionalPoly(_Record):
     """Polynomial in s = x^(1/L); substituting x = s^L recovers the weighted sum."""
 
     L: int
@@ -182,8 +180,7 @@ def lll_threshold(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
         s_width /= 2**4
 
 
-@dataclass(frozen=True)
-class LLLResult:
+class LLLResult(_Record):
     feasible: bool
     bound: Fraction | None = None  # P(no event) lower bound when feasible
     witness_lo: Fraction | None = None

@@ -4,7 +4,7 @@ of the paper's claims that only the tests run."""
 import math
 from collections import Counter, deque
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 from pcpoly.exactpoly import (
     AlgebraicReal,
@@ -17,7 +17,10 @@ from pcpoly.exactpoly import (
     trim,
 )
 from pcpoly.graphs import bits, edge_slots, graph_from_edge_mask
+from pcpoly.matching import clique_partition_counts, hat_identity_holds, hat_rows
+from pcpoly.monoid import word_weight
 from pcpoly.randomgraph import f_n_polynomial, ladder_limit_roots
+from pcpoly.transforms import kelmans
 
 
 def pad_zip(a, b):
@@ -242,3 +245,27 @@ def eval_at_surd(p, s):
     for c in reversed(p):
         u, v = u * x_u + v * x_v * s.b + c, u * x_v + v * x_u
     return u, v
+
+
+def adjoint_identity_holds(g):
+    """:func:`hat_identity_holds` for a ``Graph``."""
+    return hat_identity_holds(g.adj, clique_partition_counts(g.adj), hat_rows(g.adj))
+
+
+def expected_normal_count(n, t, p):
+    """Sum of word weights over all words of length t on n letters.
+
+    Brute-force oracle for the random-graph recurrence; only sensible for
+    tiny n and t.
+    """
+    p = F(p)
+    total = F(0)
+    for word in product(range(n), repeat=t):
+        total += word_weight(word, p)
+    return total
+
+
+def replay_steps(g, steps):
+    for u, v in steps:
+        g = kelmans(g, u, v)
+    return g

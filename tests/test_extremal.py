@@ -1,7 +1,6 @@
 """Extremal constructions, bounds, planar extremes, Nordhaus-Gaddum."""
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -25,7 +24,6 @@ from pcpoly.extremal import (
 from pcpoly.graphs import (
     Graph,
     canonical_form,
-    complement,
     edge_slots,
     from_edges,
     graph_from_edge_mask,

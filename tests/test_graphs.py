@@ -12,7 +12,6 @@ from pcpoly.graphs import (
     complement,
     complete_multipartite,
     edge_slots,
-    from_edges,
     graph_classes,
     graph_from_edge_mask,
     graph_join_union,

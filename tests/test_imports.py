@@ -70,3 +70,33 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(pcpoly, "cli_main")
     with pytest.raises(ImportError):
         from pcpoly import no_such_name  # noqa: F401
+
+
+def _modules_loaded_by(code: str) -> set:
+    """The modules that running ``code`` adds to sys.modules in a fresh interpreter."""
+    script = ("import sys\nbefore = set(sys.modules)\n" + code
+              + "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+BETA = ("import contextlib, io\nfrom pcpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['beta', 'K5', '--format', '{}']) == 0")
+
+
+@pytest.mark.parametrize("code", ["import pcpoly.cli, pcpoly.survey", "import pcpoly.graphs",
+                                  BETA.format("text")], ids=["bench-import", "graphs", "beta"])
+def test_no_dataclasses_module_loads(code):
+    loaded = _modules_loaded_by(code)
+    assert "pcpoly" in loaded and "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("code, loads_json", [("import pcpoly.cli", False),
+                                              (BETA.format("text"), False),
+                                              (BETA.format("json"), True)],
+                         ids=["import", "beta-text", "beta-json"])
+def test_json_loads_only_for_json_output(code, loads_json):
+    assert ("json" in _modules_loaded_by(code)) is loads_json

@@ -6,20 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcpoly.cliquepoly import beta_algebraic
+from pcpoly.cliquepoly import pc_poly_from_counts
 from pcpoly import matching
 from pcpoly.exactpoly import (
+    AlgebraicReal,
     clear_denominators,
     count_nonreal_roots,
-    eval_at,
-    mul,
     _taylor_shift,
-    scale,
-    to_fraction_poly,
     trim,
 )
 from pcpoly.graphs import (
-    complement,
     complete_multipartite,
     edge_slots,
     from_edges,
@@ -29,23 +25,20 @@ from pcpoly.graphs import (
     parse_graph,
 )
 from pcpoly.matching import (
-    adjoint_identity_holds,
     adjoint_polynomial,
-    adjoint_unsigned,
-    gamma_algebraic,
     MATCHING_MAX_VERTICES,
+    clique_partition_counts,
     hat_graph,
     hat_rows,
     matching_counts,
     matching_counts_from_adj,
     matching_polynomials,
     t_largest,
-    t_squared_algebraic,
 )
 
 
 from oracles import chebyshev_2tn_half as _chebyshev_2tn_half
-from oracles import hat_rows_by_definition, is_claw_free, iter_all_graphs
+from oracles import adjoint_identity_holds, hat_rows_by_definition, is_claw_free, iter_all_graphs
 from oracles import hermite_prob as _hermite
 from oracles import laguerre_scaled as _laguerre_scaled
 from oracles import matching_counts_recursive as _matching_counts_recursive
@@ -171,7 +164,8 @@ def test_t_bounds_small():
             k = g.edge_count
             if k == 0:
                 continue
-            t2 = t_squared_algebraic(g)
+            generating = matching_polynomials(g).generating
+            t2 = AlgebraicReal.dominant_root(pc_poly_from_counts(generating))
             delta = g.max_degree()
             assert t2.compare_fraction(F(4 * k, n) - 1) >= 0
             if delta > 1:
@@ -197,12 +191,12 @@ def test_chudnovsky_seymour_small():
 
 def test_adjoint_examples():
     assert adjoint_polynomial(parse_graph("K3", "named")) == (0, 1, -3, 1)
-    assert adjoint_unsigned(parse_graph("K3", "named")) == (0, 1, 3, 1)
+    assert trim(clique_partition_counts(parse_graph("K3", "named").adj)) == (0, 1, 3, 1)
     for n in range(1, 6):
         kbar = parse_graph(f"Kbar{n}", "named")
         expected = [0] * (n + 1)
         expected[n] = 1
-        assert adjoint_unsigned(kbar) == trim(expected)
+        assert trim(clique_partition_counts(kbar.adj)) == trim(expected)
 
 
 def test_adjoint_identity_all_small():
@@ -237,8 +231,9 @@ def test_gamma_bounded_by_t_squared():
         for g in iter_all_graphs(n):
             if g.edge_count == 0:
                 continue
-            gamma = gamma_algebraic(g)
-            t2 = t_squared_algebraic(g)
+            gamma = AlgebraicReal.dominant_root(adjoint_polynomial(g))
+            generating = matching_polynomials(g).generating
+            t2 = AlgebraicReal.dominant_root(pc_poly_from_counts(generating))
             assert gamma.compare(t2) <= 0
 
 
@@ -252,7 +247,7 @@ def test_gamma_dominates_other_roots():
         if g.edge_count == 0:
             continue
         h = adjoint_polynomial(g)
-        gamma = gamma_algebraic(g)
+        gamma = AlgebraicReal.dominant_root(adjoint_polynomial(g))
         gf = float(gamma)
         roots = np.roots([float(c) for c in reversed(h)])
         assert sum(abs(r) > gf + 1e-7 for r in roots) == 0

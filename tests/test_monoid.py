@@ -7,27 +7,26 @@ from itertools import product
 
 import pytest
 
-from oracles import iter_all_graphs, trace_class
+from oracles import expected_normal_count, iter_all_graphs, trace_class
 from pcpoly import monoid
 from pcpoly.cliquepoly import beta
 from pcpoly.graphs import (
     edge_slots,
-    from_edges,
     graph_from_edge_mask,
     graph_union,
     parse_graph,
 )
 from pcpoly.monoid import (
     VertexOrder,
+    _word_counts,
     count_normal_forms,
-    expected_normal_count,
-    expected_normal_count_recurrence,
     is_normal_form,
     lie_dimensions,
     m_sequence,
     normal_form_counts,
     word_weight,
 )
+from pcpoly.randomgraph import clique_random
 
 
 def test_normal_form_length_two():
@@ -251,4 +250,4 @@ def test_random_recurrence_expectation_oracle():
     for n in (2, 3):
         for t in (1, 2, 3):
             for p in (F(1, 2), F(1, 4)):
-                assert expected_normal_count(n, t, p) == expected_normal_count_recurrence(n, t, p)
+                assert expected_normal_count(n, t, p) == _word_counts(clique_random(n, p), t)[t]

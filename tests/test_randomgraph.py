@@ -1,7 +1,5 @@
 """Random-graph recurrence polynomials, root ladder, and the limit constant."""
 
-import math
-import random
 import time
 from fractions import Fraction as F
 
