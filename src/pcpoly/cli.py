@@ -1,10 +1,10 @@
 """Command-line interface for the clique-polynomial toolkit.
 
 Every numeric answer is printed from exact rationals; ``--format`` switches
-between human text, JSON, and CSV.  Exit status is 0 iff no survey check
-reported a violation, and 2 on a user error (a malformed graph, a size out of
-range, an input beyond a work bound), which prints one ``pcpoly: error:``
-line.
+between human text, JSON, and CSV.  Exit status is 0 iff no census of
+``pcpoly survey`` reported a violation, and 2 on a user error (a malformed
+graph, a size out of range, an input beyond a work bound), which prints one
+``pcpoly: error:`` line.
 """
 
 from __future__ import annotations
@@ -61,6 +61,15 @@ def _describe(value):
     if isinstance(value, Fraction):
         return {"exact": str(value), "approx": float(value)}
     return str(value)
+
+
+class _CensusNames:
+    """The names of ``survey.CENSUSES``, read only when argparse checks or lists one."""
+
+    def __iter__(self):
+        from .survey import CENSUSES
+
+        return iter(CENSUSES)
 
 
 @cache
@@ -132,7 +141,8 @@ def _parser() -> argparse.ArgumentParser:
     add_graph_arg(p)
 
     p = sub.add_parser("survey", help="exhaustive censuses")
-    p.add_argument("what", choices=("nonreal", "bounds", "extremal", "average", "dump"))
+    # the metavar keeps argparse from listing the choices, and so loading survey, at build time
+    p.add_argument("what", choices=_CensusNames(), metavar="what", help="one of %(choices)s")
     p.add_argument("n", type=int)
 
     p = sub.add_parser("spectral", help="adjacency spectral radius")
@@ -157,7 +167,6 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     fmt = args.format
-    exit_code = 0
 
     if args.command == "poly":
         from .cliquepoly import clique_type_polynomial
@@ -307,48 +316,16 @@ def _run(args) -> int:
         g = _load_graph(args)
         _emit(_describe(spectral_radius(g, args.width)), fmt)
     elif args.command == "survey":
-        from . import survey
+        from .survey import CENSUSES, run
 
-        if args.what == "nonreal":
-            row = survey.survey_nonreal(args.n)
-            _emit(
-                {
-                    "n": row.n,
-                    "graphs_total": row.graphs_total,
-                    "polys_with_nonreal": row.polys_with_nonreal,
-                    "roots_total": row.roots_total,
-                    "roots_nonreal": row.roots_nonreal,
-                },
-                fmt,
-            )
-        elif args.what == "bounds":
-            res = survey.survey_bounds(args.n)
-            _emit(
-                {
-                    "n": res["n"],
-                    "violations": res["violations"],
-                    "density_envelope": [str(x) for x in res["density_envelope"]]
-                    if res["density_envelope"]
-                    else None,
-                },
-                fmt,
-            )
-            if res["violations"]:
-                exit_code = 1
-        elif args.what == "extremal":
-            res = survey.census_extremal_check(args.n)
-            _emit({key: res[key] for key in ("n", "max_violations", "min_violations",
-                                              "max_family_exact", "conditional_ks")}, fmt)
-            if (res["max_violations"] or res["min_violations"]
-                    or not all(res["max_family_exact"].values())):
-                exit_code = 1
-        elif args.what == "dump":
-            print(survey.graph_census_csv(args.n, args.width), end="")
+        res = run(args.what, args.n, args.width)
+        out = CENSUSES[args.what].show(res)
+        if isinstance(out, str):  # the per-graph dump is CSV text in every format
+            print(out, end="")
         else:
-            lo, hi = survey.average_beta(args.n, args.width)
-            _emit({"average_lo": str(lo), "average_hi": str(hi),
-                   "approx": float((lo + hi) / 2)}, fmt)
-    return exit_code
+            _emit(out, fmt)
+        return 1 if res.violations else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import Iterable, Sequence
 
 from . import _Record
 

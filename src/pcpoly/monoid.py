@@ -160,21 +160,18 @@ def count_normal_forms(g: Graph, order: VertexOrder | None = None, length: int =
     return _count_normal_automaton(g, order, length)[length]
 
 
-def normal_form_counts(g: Graph, order: VertexOrder | None = None, maxlen: int = 8,
-                       mode: str = "direct") -> list[int]:
-    """Counts for all lengths 0..maxlen in one pass.
+def normal_form_counts(g: Graph, order: VertexOrder | None = None,
+                       maxlen: int = 8) -> list[int]:
+    """Counts for all lengths 0..maxlen in one pass, by direct enumeration.
 
-    ``direct`` enumerates normal prefixes (length capped at 16) and is the
-    reference that the censuses and tests check the automaton against;
-    ``automaton`` runs the blocked-letter DFA and has no length cap.
+    It enumerates normal prefixes (length capped at 16) and is the reference
+    that the monoid census and the tests check the automaton against.
     """
     if order is None:
         order = VertexOrder.default(g.n)
-    if mode == "direct":
-        if maxlen > DIRECT_LIMIT:
-            raise ValueError(f"direct enumeration capped at length {DIRECT_LIMIT}")
-        return _count_normal_direct(g, order, maxlen)
-    return _count_normal_automaton(g, order, maxlen)
+    if maxlen > DIRECT_LIMIT:
+        raise ValueError(f"direct enumeration capped at length {DIRECT_LIMIT}")
+    return _count_normal_direct(g, order, maxlen)
 
 
 def m_sequence(g: Graph, upto: int) -> list[int]:

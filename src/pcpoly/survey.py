@@ -1,8 +1,11 @@
-"""Exhaustive graph censuses through one driver.
+"""Exhaustive graph censuses through one table.
 
-Every census checks a claim on all graphs with n vertices.  The driver
-:func:`_census` is one in-process loop over ``(adjacency rows, weight)``
-pairs that hands each to the census's ``visit(adj, verdict, events, weight)``:
+Every census checks a claim on all graphs with n vertices.  The table
+:data:`CENSUSES` gives each census its largest n, its passes over the graphs,
+its summary and its violation test; :func:`run` runs any of them and returns
+one :class:`CensusResult` ``(name, n, tallies, violations)`` (DECISIONS.md
+D16).  A pass hands each ``(adjacency rows, weight)`` pair to the census's
+``visit(adj, verdict, events, weight)``:
 
 * ``verdict`` is the census's pure ``decide`` behind ``functools.cache``, so
   the exact algebra (Sturm counts, root refinement, certified comparison)
@@ -17,29 +20,27 @@ pairs that hands each to the census's ``visit(adj, verdict, events, weight)``:
 * ``events`` is a ``Counter`` to which the visit adds ``weight`` per
   hashable event: a violator's graph6, an equality, a CSV row.  The
   non-real and average censuses only count the profile and decide once per
-  profile afterwards.
+  profile in their summary.
 
 A check that is an isomorphism invariant visits one canonical representative
 per class from :func:`graphs.graph_classes` (156 classes for the 2^15
 labelled graphs on six vertices, 1 044 for the 2^21 on seven), with weight
 n!/|Aut G|, the number of labelled graphs in the class.  Every tally
 therefore equals the one over all labelled graphs, and a violator is
-reported as the graph6 of its class's canonical representative.  Two checks
-depend on vertex names and visit every labelled graph at weight 1, in
-edge-mask order (:func:`_labelled_graphs`): ``graph_census_csv`` writes one
-row per labelled graph, and ``census_adjoint_check`` checks the hat graph,
-which depends on the vertex order, while its gamma <= t^2 check runs on the
-classes.
+reported as the graph6 of its class's canonical representative.  The dump
+and the adjoint census's hat-graph identity depend on vertex names and
+visit every labelled graph at weight 1, in edge-mask order.
 
 The extremal and planar censuses compare each verdict with targets per edge
-count k, the predicted extremes, which depend on n alone.  Like the classes
-they are built once per process and n, on first use
-(:func:`_prepare_extremal_targets`, :func:`_prepare_planar_targets`), and
-their construction checks run in that build.  The verdict cache, the events
-and the result belong to one call and are never reused (DECISIONS.md, D9).
+count k, which depend on n alone.  Like the classes they are built once per
+process and n, on first use, and their construction checks run in that
+build.  The verdict cache, the events and the result belong to one run and
+are never reused (DECISIONS.md, D9).
 
-``survey_nonreal`` and ``census_extremal_check`` accept a ``threads``
-argument and ignore it: the benchmark harness passes it positionally.
+``survey_nonreal``, ``survey_bounds``, ``average_beta``,
+``census_extremal_check`` and ``graph_census_csv`` are views of :func:`run`
+in the shapes their callers read.  The first and the fourth ignore their
+``threads`` argument, which the benchmark harness passes positionally.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
+from types import SimpleNamespace
 
 from . import _Record
 from .cliquepoly import (
     clique_counts,
     decycling_number,
+    dependence_poly_from_counts,
     independence_polynomial,
     is_complete_multipartite_equal_parts,
     pc_poly_from_counts,
@@ -99,27 +102,61 @@ from .transforms import threshold_vector_of
 
 # enclosure width of the predicted extremes the censuses compare against
 _TARGET_WIDTH = Fraction(1, 10**12)
+# default enclosure width of each growth rate the average and the dump report
+_WIDTH = Fraction(1, 10**9)
+# the monoid census counts normal forms of the words up to this length
+_MONOID_LENGTH = 8
 
 
-def _check_size(n: int) -> None:
-    """Reject census sizes out of range before any work starts."""
-    if not 1 <= n <= 7:
-        raise ValueError("census supported for 1 <= n <= 7")
+class CensusResult(_Record):
+    """One census at n: what it tallied, and its violations (empty when the claim holds)."""
 
-
-def _census(graphs, visit, decide=None) -> Counter:
-    """Sum of the events ``visit`` counts over the ``(adj, weight)`` pairs."""
-    verdict = cache(decide) if decide else None
-    events = Counter()
-    for adj, weight in graphs:
-        visit(adj, verdict, events, weight)
-    return events
+    name: str
+    n: int
+    tallies: dict
+    violations: list
 
 
 def _labelled_graphs(n: int):
     """Every labelled graph on n vertices at weight 1, in edge-mask order."""
     slots = edge_slots(n)
     return ((adj_from_edge_mask(n, mask, slots), 1) for mask in range(1 << len(slots)))
+
+
+def run(name: str, n: int, width: Fraction = _WIDTH) -> CensusResult:
+    """Run the census ``name`` of :data:`CENSUSES` on every graph with n vertices.
+
+    ``width`` is the enclosure width of each growth rate that the average and
+    the dump report; every other census decides exactly and ignores it.
+    """
+    census = CENSUSES[name]
+    if not 1 <= n <= census.max_n:
+        raise ValueError(f"{name} census supported for 1 <= n <= {census.max_n}")
+    events = Counter()
+    for source, visit, decide in census.passes:
+        verdict = cache(partial(decide, **census.context(n, width))) if decide else None
+        # graph_classes is looked up here, not held by the table, so a test can swap it
+        graphs = graph_classes(n) if source == "classes" else _labelled_graphs(n)
+        for adj, weight in graphs:
+            visit(adj, verdict, events, weight)
+    return CensusResult(name, n, census.summary(events, n, width), census.violations(events))
+
+
+def _tagged(events, tag: str = "violation") -> list:
+    """The events whose first item is ``tag``, without it."""
+    return [e[1:] for e in events if e[0] == tag]
+
+
+def _census(max_n, passes, context=lambda n, width: {}, summary=lambda events, n, width: {},
+            violations=list,
+            show=lambda res: {"n": res.n, **res.tallies, "violations": res.violations}):
+    """A row of :data:`CENSUSES`: ``passes`` lists ``(source, visit, decide)``.
+
+    The source is ``"classes"`` or ``"labelled"``, and ``context(n, width)``
+    gives the keywords bound to each decide.  ``show(result)`` gives the
+    printed form: a payload for ``--format``, or text printed as it is.
+    """
+    return SimpleNamespace(**locals())
 
 
 def _g6(adj) -> str:
@@ -151,7 +188,7 @@ def _target(pred, poly=None) -> AlgebraicReal:
 
 
 # ---------------------------------------------------------------------------
-# non-real root census
+# profile censuses: non-real roots and the average growth rate
 
 
 class CensusRow(_Record):
@@ -162,27 +199,47 @@ class CensusRow(_Record):
     roots_nonreal: int
 
 
-def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
-    """Census of recurrence polynomials with non-real roots, exact integers."""
-    _check_size(n)
+def _sum_nonreal(events, n, width) -> dict:
+    """Graphs and recurrence roots in all, and those with non-real roots, exact integers."""
     polys = roots_total = roots_nonreal = 0
-    for counts, graphs in _census(graph_classes(n), _visit_profile).items():
+    for counts, graphs in events.items():
         roots_total += graphs * (len(counts) - 1)
         nonreal = count_nonreal_roots(pc_poly_from_counts(counts))
         if nonreal:
             polys += graphs
             roots_nonreal += graphs * nonreal
+    return {"graphs_total": 1 << (n * (n - 1) // 2), "polys_with_nonreal": polys,
+            "roots_total": roots_total, "roots_nonreal": roots_nonreal}
+
+
+def survey_nonreal(n: int, threads: int | None = None) -> CensusRow:
+    """Census of recurrence polynomials with non-real roots, exact integers."""
+    return CensusRow(n, **run("nonreal", n).tallies)
+
+
+def _decide_beta(counts, width):
+    return dominant_real_root(pc_poly_from_counts(counts), width)
+
+
+def _sum_average(events, n, width) -> dict:
+    """Interval for the mean growth rate over all labelled graphs."""
+    lo = hi = Fraction(0)
+    for counts, graphs in events.items():
+        enc = _decide_beta(counts, width)
+        lo += graphs * enc.lo
+        hi += graphs * enc.hi
     total = 1 << (n * (n - 1) // 2)
-    return CensusRow(n, total, polys, roots_total, roots_nonreal)
+    return {"average": (lo / total, hi / total)}
 
 
-def census_csv(rows) -> str:
-    lines = ["n,graphs_total,polys_with_nonreal,roots_total,roots_nonreal"]
-    for r in sorted(rows, key=lambda r: r.n):
-        lines.append(
-            f"{r.n},{r.graphs_total},{r.polys_with_nonreal},{r.roots_total},{r.roots_nonreal}"
-        )
-    return "\n".join(lines) + "\n"
+def _show_average(res) -> dict:
+    lo, hi = res.tallies["average"]
+    return {"average_lo": str(lo), "average_hi": str(hi), "approx": float((lo + hi) / 2)}
+
+
+def average_beta(n: int, width: Fraction = _WIDTH):
+    """Interval for the mean growth rate over all labelled graphs on n vertices."""
+    return run("average", n, width).tallies["average"]
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +288,24 @@ def _visit_bounds(adj, verdict, events, weight):
             events["violation", g6, name] += weight
 
 
+def _sum_bounds(events, n, width) -> dict:
+    """The extremes of the edge-density envelope over the graphs with an edge."""
+    envelopes = [e[1] for e in events if e[0] == "envelope"]
+    return {"density_envelope": (
+        (min(e[0] for e in envelopes), max(e[1] for e in envelopes)) if envelopes else None
+    )}
+
+
+def _show_bounds(res) -> dict:
+    envelope = res.tallies["density_envelope"]
+    return {"n": res.n, "violations": res.violations,
+            "density_envelope": [str(x) for x in envelope] if envelope else None}
+
+
 def survey_bounds(n: int) -> dict:
     """Exhaustively check the closed-form growth-rate bounds; expect no violations."""
-    _check_size(n)
-    events = _census(graph_classes(n), _visit_bounds, partial(_decide_bounds, n=n))
-    envelopes = [e[1] for e in events if e[0] == "envelope"]
-    return {
-        "n": n,
-        "violations": [e[1:] for e in events if e[0] == "violation"],
-        "density_envelope": (
-            (min(e[0] for e in envelopes), max(e[1] for e in envelopes)) if envelopes else None
-        ),
-    }
-
-
-# ---------------------------------------------------------------------------
-# average growth rate
-
-
-def _decide_beta(counts, width):
-    return dominant_real_root(pc_poly_from_counts(counts), width)
-
-
-def average_beta(n: int, width: Fraction = Fraction(1, 10**9)):
-    """Interval for the mean growth rate over all labelled graphs on n vertices."""
-    _check_size(n)
-    lo = hi = Fraction(0)
-    for counts, graphs in _census(graph_classes(n), _visit_profile).items():
-        enc = _decide_beta(counts, width)
-        lo += graphs * enc.lo
-        hi += graphs * enc.hi
-    total = 1 << (n * (n - 1) // 2)
-    return lo / total, hi / total
+    res = run("bounds", n)
+    return {"n": n, "violations": res.violations, **res.tallies}
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +393,9 @@ def _visit_extremal(adj, verdict, events, weight):
         events["min_equal", k, len(counts) > 3 and 4 * k <= n * n] += weight
 
 
-def census_extremal_check(n: int, threads: int | None = None) -> dict:
-    """Verify both extremal constructions against the full census.
-
-    Returns per-k results: maximum attained exactly by the construction
-    family, minimum never undercut, plus equality tallies for the minimum
-    side (triangle-free counts below the Mantel bound, conditional-regime
-    matches above it).
-    """
-    _check_size(n)
+def _sum_extremal(events, n, width) -> dict:
+    """Per k: both extremes' violations, the maximiser family check, the minimum's equalities."""
     targets = _prepare_extremal_targets(n)
-    events = _census(graph_classes(n), _visit_extremal,
-                     partial(_decide_extremal, targets=targets))
     min_equal_counts: dict[int, int] = {}
     min_equal_nontf: dict[int, int] = {}
     for (tag, k, detail), count in events.items():
@@ -370,9 +404,8 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
             if detail:
                 min_equal_nontf[k] = min_equal_nontf.get(k, 0) + count
     return {
-        "n": n,
-        "max_violations": [(k, g6) for tag, k, g6 in events if tag == "max_violation"],
-        "min_violations": [(k, g6) for tag, k, g6 in events if tag == "min_violation"],
+        "max_violations": _tagged(events, "max_violation"),
+        "min_violations": _tagged(events, "min_violation"),
         "max_family_exact": {k: ("max_family_mismatch", k, None) not in events
                              for k in targets},
         "min_equal_counts": min_equal_counts,
@@ -381,8 +414,18 @@ def census_extremal_check(n: int, threads: int | None = None) -> dict:
     }
 
 
+def _show_extremal(res) -> dict:
+    keys = ("max_violations", "min_violations", "max_family_exact", "conditional_ks")
+    return {"n": res.n, **{key: res.tallies[key] for key in keys}}
+
+
+def census_extremal_check(n: int, threads: int | None = None) -> dict:
+    """Both extremal constructions against the full census; see :func:`_sum_extremal`."""
+    return {"n": n, **run("extremal", n).tallies}
+
+
 # ---------------------------------------------------------------------------
-# matching census (real-rootedness and degree bounds)
+# matching (real-rootedness and degree bounds) and local-lemma censuses
 
 
 def _decide_matching(counts, delta, n: int):
@@ -411,19 +454,6 @@ def _visit_matching(adj, verdict, events, weight):
             events[failed, _g6(adj)] += weight
 
 
-def census_matching_check(n: int) -> dict:
-    _check_size(n)
-    events = _census(graph_classes(n), _visit_matching, partial(_decide_matching, n=n))
-    return {
-        "nonreal": [g6 for tag, g6 in events if tag == "nonreal"],
-        "bound_violations": [g6 for tag, g6 in events if tag == "bound"],
-    }
-
-
-# ---------------------------------------------------------------------------
-# local-lemma threshold census
-
-
 def _decide_lll(d, comp_counts) -> bool:
     """True when beta(complement) exceeds d^d/(d-1)^(d-1) for max degree d."""
     # threshold >= (d-1)^(d-1)/d^d  <=>  beta(complement) <= d^d/(d-1)^(d-1)
@@ -437,28 +467,22 @@ def _visit_lll(adj, verdict, events, weight):
         events[_g6(adj)] += weight
 
 
-def census_lll_check(n: int) -> list:
-    _check_size(n)
-    return list(_census(graph_classes(n), _visit_lll, _decide_lll))
-
-
 # ---------------------------------------------------------------------------
-# alternating independent-set census
-
-
-def _dependence_from_mask(adj, mask: int) -> tuple:
-    """Dependence polynomial of the induced subgraph on a vertex mask."""
-    return tuple((-1) ** k * c for k, c in enumerate(clique_counts(adj, len(adj), mask)))
+# identity, monoid, adjoint, planar, per-graph dump and decycling censuses
 
 
 def _identities_hold(n: int, adj) -> bool:
     """Vertex-deletion, edge-deletion and derivative identities of D(G)."""
+
+    def dependence(rows, mask):  # D of the subgraph of ``rows`` induced on ``mask``
+        return dependence_poly_from_counts(clique_counts(rows, n, mask))
+
     full = (1 << n) - 1
-    dg = trim(_dependence_from_mask(adj, full))
+    dg = dependence(adj, full)
     total = ()  # sum over v of D(G[N(v)]), which is -D'(G)
     for v in range(n):
-        inner = _dependence_from_mask(adj, adj[v])
-        if trim(sub(_dependence_from_mask(adj, full ^ (1 << v)), (0,) + inner)) != dg:
+        inner = dependence(adj, adj[v])
+        if trim(sub(dependence(adj, full ^ (1 << v)), (0,) + inner)) != dg:
             return False
         total = add(total, inner)
     for u in range(n):
@@ -470,8 +494,8 @@ def _identities_hold(n: int, adj) -> bool:
             cut = list(adj)
             cut[u] ^= 1 << v
             cut[v] ^= 1 << u
-            inner = _dependence_from_mask(adj, adj[u] & adj[v])
-            if trim(add(_dependence_from_mask(cut, full), (0, 0) + inner)) != dg:
+            inner = dependence(adj, adj[u] & adj[v])
+            if trim(add(dependence(cut, full), (0, 0) + inner)) != dg:
                 return False
     return trim(derivative(dg)) == trim(neg(total))
 
@@ -481,22 +505,11 @@ def _visit_identities(adj, verdict, events, weight):
         events[_g6(adj)] += weight
 
 
-def census_identity_check(n: int) -> list:
-    """Vertex-deletion, edge-deletion, and derivative identities, every graph."""
-    _check_size(n)
-    return list(_census(graph_classes(n), _visit_identities))
-
-
-def _visit_monoid(adj, verdict, events, weight, maxlen):
+def _visit_monoid(adj, verdict, events, weight):
+    """Recurrence counts versus direct normal-form enumeration."""
     g = Graph(len(adj), adj)
-    if m_sequence(g, maxlen) != normal_form_counts(g, maxlen=maxlen, mode="direct"):
+    if m_sequence(g, _MONOID_LENGTH) != normal_form_counts(g, maxlen=_MONOID_LENGTH):
         events[to_graph6(g)] += weight
-
-
-def census_monoid_check(n: int, maxlen: int = 8) -> list:
-    """Recurrence counts versus direct normal-form enumeration, every graph."""
-    _check_size(n)
-    return list(_census(graph_classes(n), partial(_visit_monoid, maxlen=maxlen)))
 
 
 def _decide_adjoint(counts, adjoint) -> bool:
@@ -515,21 +528,6 @@ def _visit_gamma(adj, verdict, events, weight):
     g = Graph(len(adj), adj)
     if g.edge_count and verdict(tuple(matching_counts(g)), adjoint_polynomial(g)):
         events["gamma", to_graph6(g)] += weight
-
-
-def census_adjoint_check(n: int) -> dict:
-    """Partition-count identity through the hat graph, and gamma <= t^2.
-
-    The identity depends on the vertex order and runs on every labelled
-    graph; gamma <= t^2 is an invariant and runs once per class.
-    """
-    _check_size(n)
-    events = _census(_labelled_graphs(n), _visit_hat)
-    events += _census(graph_classes(n), _visit_gamma, _decide_adjoint)
-    return {
-        "identity": [g6 for tag, g6 in events if tag == "identity"],
-        "gamma": [g6 for tag, g6 in events if tag == "gamma"],
-    }
 
 
 @cache
@@ -567,23 +565,15 @@ def _visit_planar(adj, verdict, events, weight):
     events["planar", k, to_min == 0, to_max == 0] += weight
 
 
-def census_planar_check(n: int) -> dict:
-    """Verify the planar extremes over the full planar census at tiny n."""
-    if not 1 <= n <= 6:  # the bitset planarity test is exact only up to six vertices
-        raise ValueError("planar census supported for 1 <= n <= 6")
-    targets = _prepare_planar_targets(n)
-    events = _census(graph_classes(n), _visit_planar, partial(_decide_planar, targets=targets))
+def _sum_planar(events, n, width) -> dict:
+    """Per k, the planar graphs attaining the minimum and the maximum; the ks with targets."""
     attained: dict = {}
     for (tag, k, equal_min, equal_max), count in events.items():
         if tag == "planar":
             att = attained.setdefault(k, [0, 0])
             att[0] += count * equal_min
             att[1] += count * equal_max
-    return {
-        "violations": [e[1:] for e in events if e[0] == "violation"],
-        "attained": attained,
-        "ks": sorted(targets),
-    }
+    return {"attained": attained, "ks": sorted(_prepare_planar_targets(n))}
 
 
 def _visit_dump(adj, verdict, events, weight):
@@ -600,12 +590,13 @@ def _visit_dump(adj, verdict, events, weight):
     events[f"{g.n},{g.edge_count},{to_graph6(g)},{enc.lo},{enc.hi},{'|'.join(flags)}"] += weight
 
 
-def graph_census_csv(n: int, width: Fraction = Fraction(1, 10**9)) -> str:
+def _sum_dump(events, n, width) -> dict:
+    return {"csv": "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(events) + "\n"}
+
+
+def graph_census_csv(n: int, width: Fraction = _WIDTH) -> str:
     """Per-graph census rows: n, k, graph6, beta_lo, beta_hi, flags, in edge-mask order."""
-    if not 1 <= n <= 6:
-        raise ValueError("per-graph dump supported for 1 <= n <= 6")
-    rows = _census(_labelled_graphs(n), _visit_dump, partial(_decide_beta, width=width))
-    return "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(rows) + "\n"
+    return run("dump", n, width).tallies["csv"]
 
 
 def _visit_decycling(adj, verdict, events, weight):
@@ -614,6 +605,35 @@ def _visit_decycling(adj, verdict, events, weight):
         events[to_graph6(g)] += weight
 
 
-def census_decycling_check(n: int) -> list:
-    _check_size(n)
-    return list(_census(graph_classes(n), _visit_decycling))
+# ---------------------------------------------------------------------------
+# the census table; ``pcpoly survey`` offers its names in this order
+
+CENSUSES = {
+    "nonreal": _census(7, [("classes", _visit_profile, None)], summary=_sum_nonreal,
+                       violations=lambda events: [], show=lambda res: {"n": res.n, **res.tallies}),
+    "bounds": _census(7, [("classes", _visit_bounds, _decide_bounds)],
+                      context=lambda n, width: {"n": n}, summary=_sum_bounds,
+                      violations=_tagged, show=_show_bounds),
+    "extremal": _census(7, [("classes", _visit_extremal, _decide_extremal)],
+                        context=lambda n, width: {"targets": _prepare_extremal_targets(n)},
+                        summary=_sum_extremal, show=_show_extremal,
+                        # a maximum passed, a minimum undercut, a maximiser outside the family
+                        violations=lambda events: [e for e in events if e[0] != "min_equal"]),
+    "average": _census(7, [("classes", _visit_profile, None)], summary=_sum_average,
+                       violations=lambda events: [], show=_show_average),
+    "dump": _census(6, [("labelled", _visit_dump, _decide_beta)],
+                    context=lambda n, width: {"width": width}, summary=_sum_dump,
+                    violations=lambda events: [], show=lambda res: res.tallies["csv"]),
+    # the bitset planarity test is exact only up to six vertices
+    "planar": _census(6, [("classes", _visit_planar, _decide_planar)],
+                      context=lambda n, width: {"targets": _prepare_planar_targets(n)},
+                      summary=_sum_planar, violations=_tagged),
+    "lll": _census(7, [("classes", _visit_lll, _decide_lll)]),
+    "matching": _census(7, [("classes", _visit_matching, _decide_matching)],
+                        context=lambda n, width: {"n": n}),
+    "identity": _census(7, [("classes", _visit_identities, None)]),
+    "monoid": _census(7, [("classes", _visit_monoid, None)]),
+    "adjoint": _census(7, [("labelled", _visit_hat, None),
+                           ("classes", _visit_gamma, _decide_adjoint)]),
+    "decycling": _census(7, [("classes", _visit_decycling, None)]),
+}

@@ -7,7 +7,7 @@ decreasing clique counts or the growth rate.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import _Record
 from .graphs import Graph, GraphError, bits, threshold_graph

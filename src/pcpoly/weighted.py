@@ -8,8 +8,8 @@ common denominator L, never by transcendental evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import _Record
 from .cliquepoly import beta, char_poly, packed_clique_sum, unpack_limbs

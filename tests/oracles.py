@@ -90,6 +90,15 @@ def nonreal_census(n):
     return 1 << len(slots), polys, roots_total, roots_nonreal
 
 
+def census_csv(rows) -> str:
+    lines = ["n,graphs_total,polys_with_nonreal,roots_total,roots_nonreal"]
+    for r in sorted(rows, key=lambda r: r.n):
+        lines.append(
+            f"{r.n},{r.graphs_total},{r.polys_with_nonreal},{r.roots_total},{r.roots_nonreal}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def matching_counts_recursive(n, edges):
     """m_0..m_nu from edge pairs, no pcpoly code.
 

@@ -8,6 +8,7 @@ tests/test_oracles.py recomputes with code independent of pcpoly.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 from pcpoly.cliquepoly import beta
@@ -29,17 +30,7 @@ from pcpoly.randomgraph import (
     ladder_limit_roots,
     random_root_ladder,
 )
-from pcpoly.survey import (
-    census_adjoint_check,
-    census_decycling_check,
-    census_extremal_check,
-    census_identity_check,
-    census_lll_check,
-    census_matching_check,
-    census_monoid_check,
-    census_planar_check,
-    survey_nonreal,
-)
+from pcpoly.survey import census_extremal_check, run, survey_nonreal
 from pcpoly.weighted import lll_check, lll_threshold, matrix_to_weighted_graph, mcmullen_growth
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -79,7 +70,7 @@ def test_criterion_01_nonreal_census():
 def test_criterion_02_recurrence_equals_enumeration():
     bad = []
     for n in range(1, 6):
-        bad += census_monoid_check(n, 8)
+        bad += run("monoid", n).violations  # words up to length 8
     ok = _report(2, not bad, f"recurrence == direct count, n <= 5, len <= 8; {len(bad)} mismatches")
     assert ok
 
@@ -119,7 +110,7 @@ def test_criterion_04_identity_suite():
 
     bad = []
     for n in range(1, 7):
-        bad += census_identity_check(n)
+        bad += run("identity", n).violations
     rng = random.Random(404)
     slots_cache = {}
     pair_fail = 0
@@ -275,7 +266,7 @@ def test_criterion_10_weighted_correspondence():
 def test_criterion_11_lll():
     ok = True
     for n in range(2, 8):
-        bad = census_lll_check(n)
+        bad = run("lll", n).violations
         ok &= not bad
     # threshold consistency spot checks
     rng = random.Random(1111)
@@ -310,10 +301,9 @@ def test_criterion_12_matching_adjoint():
 
     ok = True
     for n in range(2, 7):
-        res = census_matching_check(n)
-        ok &= not res["nonreal"] and not res["bound_violations"]
-    res7 = census_matching_check(7)
-    ok &= not res7["nonreal"] and not res7["bound_violations"]
+        ok &= not run("matching", n).violations
+    failed7 = Counter(tag for tag, g6 in run("matching", 7).violations)
+    ok &= not failed7
     # classical family identities, n <= 6, exact coefficients
     families = True
     for n in range(1, 7):
@@ -332,14 +322,13 @@ def test_criterion_12_matching_adjoint():
     ok &= families
     adjoint_ok = True
     for n in range(1, 7):
-        res = census_adjoint_check(n)
-        adjoint_ok &= not res["identity"] and not res["gamma"]
+        adjoint_ok &= not run("adjoint", n).violations
     ok &= adjoint_ok
     ok = _report(
         12,
         ok,
         f"real-rooted matching polynomials and degree sandwich through n=7 "
-        f"({len(res7['nonreal'])}/{len(res7['bound_violations'])} failures); classical "
+        f"({failed7['nonreal']}/{failed7['bound']} failures); classical "
         f"families exact {families}; adjoint identity and gamma <= t^2 exact {adjoint_ok}",
     )
     assert ok
@@ -349,12 +338,12 @@ def test_criterion_13_planar_extremes():
     ok = True
     details = []
     for n in range(1, 7):
-        res = census_planar_check(n)
-        ok &= not res["violations"]
-        for k in res["ks"]:
-            lo_att, hi_att = res["attained"].get(k, (0, 0))
+        res = run("planar", n)
+        ok &= not res.violations
+        for k in res.tallies["ks"]:
+            lo_att, hi_att = res.tallies["attained"].get(k, (0, 0))
             ok &= lo_att >= 1 and hi_att >= 1
-        details.append(f"n={n}: {len(res['violations'])} violations")
+        details.append(f"n={n}: {len(res.violations)} violations")
     ok = _report(13, ok, "full planar census with both ends attained; " + "; ".join(details))
     assert ok
 
@@ -362,7 +351,7 @@ def test_criterion_13_planar_extremes():
 def test_criterion_14_decycling_bound():
     ok = True
     for n in range(1, 8):
-        bad = census_decycling_check(n)
+        bad = run("decycling", n).violations
         ok &= not bad
     ok = _report(14, ok, "alternating independent-set count bounded by 2^decycling, n <= 7")
     assert ok

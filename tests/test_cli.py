@@ -17,6 +17,7 @@ import pcpoly
 from pcpoly import cliquepoly, matching
 from pcpoly.cli import main
 from pcpoly.graphs import Graph, to_graph6
+from pcpoly.survey import CENSUSES
 
 
 def _run_json(capsys, *args):
@@ -127,6 +128,37 @@ def test_survey_extremal_verb(capsys, monkeypatch):
     monkeypatch.setattr(pcpoly.survey, "_max_shape", lambda adj, counts: False)
     code, payload = _run_json(capsys, "survey", "extremal", "5")
     assert code == 1 and not any(payload["max_family_exact"].values())
+
+
+@pytest.mark.parametrize("name", list(CENSUSES))
+def test_every_census_runs_from_the_command_line(capsys, name):
+    assert main(["--format", "json", "survey", name, "4"]) == 0
+    out = capsys.readouterr().out
+    if name == "dump":  # per-graph CSV rows in every format
+        assert out.startswith("n,k,graph6,") and out.count("\n") == 1 + 64
+    elif name == "average":  # the mean's enclosure alone
+        assert sorted(json.loads(out)) == ["approx", "average_hi", "average_lo"]
+    else:
+        assert json.loads(out)["n"] == 4
+    max_n = CENSUSES[name].max_n
+    for n in (0, max_n + 1):
+        assert main(["survey", name, str(n)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0] == f"pcpoly: error: {name} census supported for 1 <= n <= {max_n}"
+
+
+@pytest.mark.parametrize("name, fn, fake", [
+    # a complement with no edge has beta = n = 5, above the bound 4 at maximum degree 2
+    ("lll", "complement_adj", lambda adj: (0,) * len(adj)),
+    ("matching", "count_nonreal_roots", lambda poly: 1),
+])
+def test_a_census_violation_exits_1(capsys, monkeypatch, name, fn, fake):
+    assert _run_json(capsys, "survey", name, "5") == (0, {"n": 5, "violations": []})
+    monkeypatch.setattr(pcpoly.survey, fn, fake)
+    code, payload = _run_json(capsys, "survey", name, "5")
+    assert code == 1 and payload["violations"]
 
 
 @pytest.mark.parametrize(
@@ -314,7 +346,9 @@ CSV_CALLS = [
     ["lll", "C4"], ["lll", "C4", "--probs", "1/10", "1/10", "1/10", "1/10"],
     ["matching", "C5"], ["adjoint", "C5"], ["spectral", "C4"],
     ["survey", "nonreal", "4"], ["survey", "bounds", "4"], ["survey", "extremal", "4"],
-    ["survey", "average", "4"],
+    ["survey", "average", "4"], ["survey", "planar", "4"], ["survey", "lll", "4"],
+    ["survey", "matching", "4"], ["survey", "identity", "4"], ["survey", "monoid", "4"],
+    ["survey", "adjoint", "4"], ["survey", "decycling", "4"],
 ]
 
 

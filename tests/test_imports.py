@@ -100,3 +100,12 @@ def test_no_dataclasses_module_loads(code):
                          ids=["import", "beta-text", "beta-json"])
 def test_json_loads_only_for_json_output(code, loads_json):
     assert ("json" in _modules_loaded_by(code)) is loads_json
+
+
+def test_no_typing_module_loads():
+    # -S skips site, which may load typing itself; the annotations are never evaluated
+    code = "import sys, pcpoly.cli, pcpoly.survey\nprint('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]

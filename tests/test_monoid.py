@@ -91,8 +91,8 @@ def test_modes_agree_all_small_graphs():
     for n in range(1, 5):
         for g in iter_all_graphs(n):
             ms = m_sequence(g, 6)
-            assert normal_form_counts(g, maxlen=6, mode="direct") == ms
-            assert normal_form_counts(g, maxlen=6, mode="automaton") == ms
+            assert normal_form_counts(g, maxlen=6) == ms
+            assert [count_normal_forms(g, length=t) for t in range(7)] == ms
 
 
 def test_modes_agree_random_orders():
@@ -106,13 +106,13 @@ def test_modes_agree_random_orders():
             rng.shuffle(perm)
             order = VertexOrder(tuple(perm))
             # counts are order-invariant even though the normal forms differ
-            assert normal_form_counts(g, order, maxlen=6, mode="direct") == ms
-            assert normal_form_counts(g, order, maxlen=6, mode="automaton") == ms
+            assert normal_form_counts(g, order, maxlen=6) == ms
+            assert [count_normal_forms(g, order, t) for t in range(7)] == ms
 
 
 def test_direct_mode_cap():
     with pytest.raises(ValueError):
-        normal_form_counts(parse_graph("K2", "named"), maxlen=17, mode="direct")
+        normal_form_counts(parse_graph("K2", "named"), maxlen=17)
 
 
 def test_counts_run_on_the_automaton(monkeypatch):

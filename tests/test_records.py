@@ -47,7 +47,7 @@ def _outcome(call):
 
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 18
     assert {cls for cls in RECORDS if "__post_init__" in vars(cls)} == set(VALID)
     assert all(cls.__qualname__ == cls.__name__ for cls in RECORDS)
 

@@ -4,10 +4,11 @@ import hashlib
 import time
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from oracles import iter_all_graphs
+from oracles import census_csv, iter_all_graphs
 from pcpoly import exactpoly, survey
 from pcpoly.extremal import max_beta_construction, max_beta_equality_family
 from pcpoly.graphs import (
@@ -21,39 +22,28 @@ from pcpoly.cliquepoly import clique_counts, clique_profile
 from pcpoly.exactpoly import AlgebraicReal
 from pcpoly.matching import adjoint_polynomial, matching_counts
 from pcpoly.survey import (
+    CENSUSES,
     average_beta,
-    census_adjoint_check,
-    census_csv,
-    census_decycling_check,
     census_extremal_check,
-    census_identity_check,
-    census_lll_check,
-    census_matching_check,
-    census_monoid_check,
-    census_planar_check,
     graph_census_csv,
+    run,
     survey_bounds,
     survey_nonreal,
 )
 
 # every census that decides once per invariant key, run at n=5
-KEYED_CENSUSES = {
-    "nonreal": lambda: survey_nonreal(5),
-    "bounds": lambda: survey_bounds(5),
-    "average": lambda: average_beta(5),
-    "dump": lambda: graph_census_csv(5),
-    "extremal": lambda: census_extremal_check(5),
-    "planar": lambda: census_planar_check(5),
-    "lll": lambda: census_lll_check(5),
-    "matching": lambda: census_matching_check(5),
-    "adjoint": lambda: census_adjoint_check(5),
-}
+KEYED_CENSUSES = ("nonreal", "bounds", "average", "dump", "extremal", "planar", "lll",
+                  "matching", "adjoint")
 
-SIZED_CENSUSES = (
-    survey_nonreal, survey_bounds, average_beta, graph_census_csv, census_extremal_check,
-    census_matching_check, census_lll_check, census_identity_check, census_monoid_check,
-    census_adjoint_check, census_planar_check, census_decycling_check,
-)
+# every census through run, and the five views of it; the test ids keep the
+# names of the twelve entry functions that the census table replaced
+SIZED_CENSUSES = {
+    "survey_nonreal": survey_nonreal, "survey_bounds": survey_bounds,
+    "average_beta": average_beta, "graph_census_csv": graph_census_csv,
+    "census_extremal_check": census_extremal_check,
+    **{f"census_{name}_check": partial(run, name)
+       for name in ("matching", "lll", "identity", "monoid", "adjoint", "planar", "decycling")},
+}
 
 
 def test_rows_small():
@@ -94,7 +84,7 @@ def test_threads_do_not_change_output():
 
 
 @pytest.mark.parametrize("n", (0, 8))
-@pytest.mark.parametrize("census", SIZED_CENSUSES, ids=lambda census: census.__name__)
+@pytest.mark.parametrize("census", SIZED_CENSUSES.values(), ids=list(SIZED_CENSUSES))
 def test_census_size_out_of_range_fails_fast(census, n):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="supported for 1 <= n <= "):
@@ -108,7 +98,7 @@ def test_planar_census_rejects_n_above_6_before_generating_classes(monkeypatch):
 
     monkeypatch.setattr(survey, "graph_classes", generate)
     with pytest.raises(ValueError, match="planar census supported for 1 <= n <= 6"):
-        census_planar_check(7)
+        run("planar", 7)
 
 
 def test_max_shape_is_the_equality_family():
@@ -161,9 +151,9 @@ def test_keyed_census_outputs_pinned_n6():
     res = survey_bounds(6)
     assert res["violations"] == []
     assert res["density_envelope"] == (F(4411646399, 25769803776), F(1, 3))
-    res = census_planar_check(6)
-    assert res["violations"] == []
-    assert res["attained"] == {
+    res = run("planar", 6)
+    assert res.violations == []
+    assert res.tallies["attained"] == {
         0: [1, 1], 1: [15, 15], 2: [105, 105], 3: [435, 20], 4: [1125, 240],
         5: [1773, 90], 6: [1560, 15], 7: [660, 135], 8: [105, 180], 9: [510, 60],
         10: [585, 300], 11: [180, 585], 12: [15, 180],
@@ -206,24 +196,23 @@ def test_targets_are_built_once_per_process(monkeypatch):
     monkeypatch.setattr(AlgebraicReal, "dominant_root", staticmethod(target_root))
     _clear_targets()
     census_extremal_check(6)
-    census_planar_check(5)
+    run("planar", 5)
     assert calls["max_beta_pc"] == 16 and calls["min_beta_graph"] == 16
     assert calls["planar_extremes"] and calls["target dominant_root"]
     calls.clear()
     census_extremal_check(6)
-    census_planar_check(5)
+    run("planar", 5)
     assert calls == Counter()
 
 
 def test_shared_targets_leave_results_unchanged():
-    runs = [(census_extremal_check, n) for n in (5, 6, 5, 6, 7)]
-    runs += [(census_planar_check, n) for n in (5, 6, 5)]
+    runs = [("extremal", n) for n in (5, 6, 5, 6, 7)] + [("planar", n) for n in (5, 6, 5)]
     _clear_targets()
-    shared = [census(n) for census, n in runs]
+    shared = [run(name, n) for name, n in runs]
     fresh = []
-    for census, n in runs:
+    for name, n in runs:
         _clear_targets()
-        fresh.append(census(n))
+        fresh.append(run(name, n))
     assert shared == fresh
 
 
@@ -238,7 +227,7 @@ def test_target_construction_checks_run_on_first_build(monkeypatch):
     with pytest.raises(AssertionError, match="construction check ran"):
         census_extremal_check(6)
     with pytest.raises(AssertionError, match="construction check ran"):
-        census_planar_check(5)
+        run("planar", 5)
 
 
 def test_extremal_census_certifies_the_printed_minimum(monkeypatch):
@@ -282,7 +271,7 @@ def test_exact_algebra_runs_per_key_not_per_graph(monkeypatch, name):
         AlgebraicReal, "dominant_root",
         staticmethod(_counted(calls, "dominant_root", AlgebraicReal.dominant_root)),
     )
-    KEYED_CENSUSES[name]()
+    run(name, 5)
     if name in ("matching", "adjoint"):
         key = _matching_key if name == "matching" else _adjoint_key
         keys = len({key(g) for g in iter_all_graphs(5) if g.edge_count})
@@ -308,8 +297,7 @@ def test_adjoint_census_builds_partitions_and_hat_graph_once_per_graph(monkeypat
 
         monkeypatch.setattr(matching, fn, counted)
         monkeypatch.setattr(survey, fn, counted)
-    res = census_adjoint_check(5)
-    assert res == {"identity": [], "gamma": []}
+    assert run("adjoint", 5).violations == []
     # the hat check visits every labelled graph; the gamma check every class with an edge
     graphs, classes = 1 << 10, len(graph_classes(5))
     assert calls == {"clique_partition_counts": graphs + classes - 1, "hat_rows": graphs}
@@ -320,20 +308,8 @@ def _labelled_graphs(n):
     return tuple((adj_from_edge_mask(n, mask, slots), 1) for mask in range(1 << len(slots)))
 
 
-# the censuses on the class driver, at n
-CLASS_CENSUSES = {
-    "nonreal": survey_nonreal,
-    "bounds": survey_bounds,
-    "average": average_beta,
-    "extremal": census_extremal_check,
-    "lll": census_lll_check,
-    "planar": census_planar_check,
-    "matching": census_matching_check,
-    "identity": census_identity_check,
-    "monoid": lambda n: census_monoid_check(n, maxlen=4),
-    "decycling": census_decycling_check,
-    "adjoint": census_adjoint_check,  # its gamma check; the hat check is labelled anyway
-}
+# the censuses on the class driver; the adjoint census's hat check is labelled anyway
+CLASS_CENSUSES = [name for name in CENSUSES if name != "dump"]
 # n <= 5 only, to keep the labelled runs short
 SLOW_AT_6 = ("identity", "monoid", "decycling", "adjoint")
 
@@ -344,11 +320,11 @@ SLOW_AT_6 = ("identity", "monoid", "decycling", "adjoint")
     + [(name, 6) for name in CLASS_CENSUSES if name not in SLOW_AT_6],
 )
 def test_class_driver_equals_labelled_census(monkeypatch, name, n):
-    census = CLASS_CENSUSES[name]
-    by_class = census(n)
+    monkeypatch.setattr(survey, "_MONOID_LENGTH", 4)  # keeps the labelled monoid runs short
+    by_class = run(name, n)
     sources = []
     monkeypatch.setattr(survey, "graph_classes", lambda n: sources.append(n) or _labelled_graphs(n))
-    assert census(n) == by_class
+    assert run(name, n) == by_class
     assert sources == [n]
 
 
@@ -384,13 +360,12 @@ def test_average_beta():
 
 
 def test_decycling_census_small():
-    assert census_decycling_check(4) == []
+    assert run("decycling", 4).violations == []
 
 
 def test_lll_census_small():
-    assert census_lll_check(4) == []
+    assert run("lll", 4).violations == []
 
 
 def test_matching_census_small():
-    res = census_matching_check(5)
-    assert res["nonreal"] == [] and res["bound_violations"] == []
+    assert run("matching", 5).violations == []
