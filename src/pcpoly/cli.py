@@ -24,10 +24,6 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _load_graph(args):
-    return parse_graph(args.graph, args.fmt)
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         import json  # only here: text output loads no json module
@@ -166,51 +162,43 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    fmt = args.format
-
+    g = parse_graph(args.graph, args.fmt) if "graph" in args else None
+    code = 0
     if args.command == "poly":
         from .cliquepoly import clique_type_polynomial
 
-        g = _load_graph(args)
         poly = clique_type_polynomial(g, args.kind)
-        _emit({"kind": args.kind, "coefficients_ascending": list(poly)}, fmt)
+        payload = {"kind": args.kind, "coefficients_ascending": list(poly)}
     elif args.command == "beta":
         from .cliquepoly import beta
 
-        g = _load_graph(args)
-        _emit(_describe(beta(g, args.width)), fmt)
+        payload = _describe(beta(g, args.width))
     elif args.command == "profile":
         from .cliquepoly import clique_profile, independence_at_minus_one
 
-        g = _load_graph(args)
         prof = clique_profile(g)
-        value, phi = (None, None)
         payload = {"counts": list(prof.counts), "clique_number": prof.clique_number}
         if g.n <= 20:
             value, phi = independence_at_minus_one(g)
             payload["independence_at_minus_one"] = value
             payload["decycling_number"] = phi
-        _emit(payload, fmt)
     elif args.command == "monoid":
         from .monoid import count_normal_forms, lie_dimensions, m_sequence
 
-        g = _load_graph(args)
         counts = m_sequence(g, args.length)
         payload = {"recurrence": counts,
                    "count_at_length": count_normal_forms(g, length=args.length)}
         if args.lie:
             payload["lie_dims"] = list(lie_dimensions(g, args.lie).dims)
-        _emit(payload, fmt)
     elif args.command == "transform":
         from .transforms import kelmans, reduce_to_threshold, steps_to_json
 
-        g = _load_graph(args)
         if args.kelmans:
             out = kelmans(g, *args.kelmans)
-            _emit({"graph6": to_graph6(out), "edge_list": to_edge_list(out)}, fmt)
+            payload = {"graph6": to_graph6(out), "edge_list": to_edge_list(out)}
         elif args.reduce:
             vec, steps = reduce_to_threshold(g)
-            _emit({"threshold_vector": str(vec), "steps": steps_to_json(steps)}, fmt)
+            payload = {"threshold_vector": str(vec), "steps": steps_to_json(steps)}
         else:
             raise ValueError("transform needs --kelmans or --reduce")
     elif args.command == "extremal":
@@ -224,32 +212,24 @@ def _run(args) -> int:
         }
         if res.conditional:
             payload["conditional"] = res.conditional
-        _emit(payload, fmt)
     elif args.command == "planar":
         from .extremal import planar_extremes
 
         res = planar_extremes(args.n, args.k)
-        _emit(
-            {
-                "lambda_minus": _describe(res.lambda_minus),
-                "lambda_plus": _describe(res.lambda_plus),
-                "g_minus": to_graph6(res.g_minus),
-                "g_plus": to_graph6(res.g_plus),
-            },
-            fmt,
-        )
+        payload = {
+            "lambda_minus": _describe(res.lambda_minus),
+            "lambda_plus": _describe(res.lambda_plus),
+            "g_minus": to_graph6(res.g_minus),
+            "g_plus": to_graph6(res.g_plus),
+        }
     elif args.command == "nordhaus-gaddum":
         from .extremal import nordhaus_gaddum
 
-        g = _load_graph(args)
         s, pr = nordhaus_gaddum(g, args.width)
-        _emit(
-            {
-                "sum_lo": str(s.lo), "sum_hi": str(s.hi),
-                "product_lo": str(pr.lo), "product_hi": str(pr.hi),
-            },
-            fmt,
-        )
+        payload = {
+            "sum_lo": str(s.lo), "sum_hi": str(s.hi),
+            "product_lo": str(pr.lo), "product_hi": str(pr.hi),
+        }
     elif args.command == "random":
         from .randomgraph import (
             beta0_constant,
@@ -261,42 +241,36 @@ def _run(args) -> int:
 
         if args.what == "pc":
             rpc = pc_random(args.n, args.p)
-            _emit({"coefficients_ascending": [str(c) for c in rpc.poly]}, fmt)
+            payload = {"coefficients_ascending": [str(c) for c in rpc.poly]}
         elif args.what == "beta":
             enc, closed = beta_random(args.n, args.p, args.width)
             payload = _describe(enc)
             if closed is not None:
                 payload["closed_form_lo"] = str(closed.lo)
                 payload["closed_form_hi"] = str(closed.hi)
-            _emit(payload, fmt)
         elif args.what == "ladder":
-            _emit(_describe(ladder_limit_roots(args.r, args.p, args.t, args.width)), fmt)
+            payload = _describe(ladder_limit_roots(args.r, args.p, args.t, args.width))
         elif args.what == "beta0":
-            _emit(_describe(beta0_constant(max(args.width, Fraction(1, 10**30)))), fmt)
+            payload = _describe(beta0_constant(max(args.width, Fraction(1, 10**30))))
         else:
             series = beta_series(args.r)
-            _emit({"r": series.r, "coefficients": [str(c) for c in series.coeffs]}, fmt)
+            payload = {"r": series.r, "coefficients": [str(c) for c in series.coeffs]}
     elif args.command == "lll":
         from .weighted import lll_check, lll_threshold
 
-        g = _load_graph(args)
         if args.probs:
             res = lll_check(g, args.probs)
             if res.feasible:
-                _emit({"feasible": True, "bound": str(res.bound)}, fmt)
+                payload = {"feasible": True, "bound": str(res.bound)}
             else:
-                _emit(
-                    {"feasible": False, "witness_lo": str(res.witness_lo),
-                     "witness_hi": str(res.witness_hi)},
-                    fmt,
-                )
+                payload = {"feasible": False, "witness_lo": str(res.witness_lo),
+                           "witness_hi": str(res.witness_hi)}
         else:
             enc = lll_threshold(g, args.width)
-            _emit({"threshold_lo": str(enc.lo), "threshold_hi": str(enc.hi)}, fmt)
+            payload = {"threshold_lo": str(enc.lo), "threshold_hi": str(enc.hi)}
     elif args.command == "matching":
         from .matching import _matching_and_t
 
-        g = _load_graph(args)
         pair, t = _matching_and_t(g, args.width)
         payload = {
             "mu_ascending": list(pair.mu),
@@ -304,28 +278,25 @@ def _run(args) -> int:
         }
         if t is not None:
             payload["t_largest"] = _describe(t)
-        _emit(payload, fmt)
     elif args.command == "adjoint":
         from .matching import adjoint_polynomial
 
-        g = _load_graph(args)
-        _emit({"adjoint_ascending": list(adjoint_polynomial(g))}, fmt)
+        payload = {"adjoint_ascending": list(adjoint_polynomial(g))}
     elif args.command == "spectral":
         from .cliquepoly import spectral_radius
 
-        g = _load_graph(args)
-        _emit(_describe(spectral_radius(g, args.width)), fmt)
-    elif args.command == "survey":
+        payload = _describe(spectral_radius(g, args.width))
+    else:  # survey
         from .survey import CENSUSES, run
 
         res = run(args.what, args.n, args.width)
-        out = CENSUSES[args.what].show(res)
-        if isinstance(out, str):  # the per-graph dump is CSV text in every format
-            print(out, end="")
-        else:
-            _emit(out, fmt)
-        return 1 if res.violations else 0
-    return 0
+        payload = CENSUSES[args.what].show(res)
+        code = 1 if res.violations else 0
+    if isinstance(payload, str):  # the per-graph dump is CSV text in every format
+        print(payload, end="")
+    else:
+        _emit(payload, args.format)
+    return code
 
 
 if __name__ == "__main__":

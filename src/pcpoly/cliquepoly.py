@@ -30,7 +30,6 @@ from .graphs import (
     complement,
     complement_adj,
     connected_components,
-    induced_subgraph_mask,
 )
 
 
@@ -257,8 +256,5 @@ def is_complete_multipartite_equal_parts(g: Graph) -> bool:
     if len(sizes) != 1:
         return False
     size = sizes.pop()
-    for mask in comps:
-        sub = induced_subgraph_mask(comp, mask)
-        if sub.edge_count != size * (size - 1) // 2:
-            return False
-    return True
+    # a component is a clique iff each of its vertices has degree size - 1 there
+    return all(comp.degree(v) == size - 1 for v in range(g.n))

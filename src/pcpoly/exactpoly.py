@@ -615,10 +615,6 @@ class AlgebraicReal:
         a, b, d = _refine_simple_root(self.poly, *_over_one_denominator(self.lo, self.hi), width)
         self.lo, self.hi = Fraction(a, d), Fraction(b, d)
 
-    def enclosure(self, width, multiplicity=1) -> RootEnclosure:
-        self.refine(width)
-        return RootEnclosure(self.lo, self.hi, multiplicity)
-
     def __float__(self) -> float:
         self.refine(Fraction(1, 10**17))
         return float((self.lo + self.hi) / 2)

@@ -281,10 +281,14 @@ _SPECIAL_PLANAR = {
 }
 
 
+def _hub_edges(n: int) -> list[tuple[int, int]]:
+    """The edges of K_{2,n-2}, hubs 0 and 1, vertex by vertex: (0, 2), (1, 2), (0, 3), ..."""
+    return [(h, v) for v in range(2, n) for h in (0, 1)]
+
+
 def _bipartite_hub_graph(n: int, k: int, inner: list[tuple[int, int]]) -> Graph:
     """Supergraph of K_{2,n-2}: hubs 0,1 joined to everyone else, plus inner edges."""
-    edges = [(h, v) for h in (0, 1) for v in range(2, n)]
-    edges += inner
+    edges = _hub_edges(n) + inner
     assert len(edges) == k
     return from_edges(n, edges)
 
@@ -347,9 +351,7 @@ def planar_extremes(n: int, k: int):
     # minimum
     if k <= 2 * n - 4:
         lam_minus = QuadSurd.make(n, n * n - 4 * k, 2)
-        g_minus = from_edges(
-            n, _triangle_free_edges_bip_hubs(n, k)
-        )
+        g_minus = from_edges(n, _hub_edges(n)[:k])
     elif k < 3 * n - 6:
         s = k - 2 * n + 4
         inner = [(i, i + 1) for i in range(2, 2 + s)]
@@ -362,13 +364,6 @@ def planar_extremes(n: int, k: int):
     _assert_is_beta(g_minus, lam_minus)
     _assert_is_beta(g_plus, lam_plus)
     return PlanarExtremes(lam_minus, lam_plus, g_minus, g_plus)
-
-
-def _triangle_free_edges_bip_hubs(n: int, k: int) -> list[tuple[int, int]]:
-    pairs = [(h, v) for v in range(2, n) for h in (0, 1)]
-    if k > len(pairs):
-        raise ValueError("too many edges for the two-hub bipartite host")
-    return pairs[:k]
 
 
 # ---------------------------------------------------------------------------

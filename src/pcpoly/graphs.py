@@ -86,11 +86,7 @@ class Graph(_Record):
             if row >> i & 1:
                 raise GraphError(f"self-loop at vertex {i}")
         for i, row in enumerate(self.adj):
-            m = row
-            while m:
-                b = m & -m
-                j = b.bit_length() - 1
-                m ^= b
+            for j in bits(row):
                 if not self.adj[j] >> i & 1:
                     raise GraphError(f"asymmetric edge ({i}, {j})")
 
@@ -130,21 +126,14 @@ def bits(mask: int) -> list[int]:
 
 def edge_list(adj: Sequence[int]) -> list[tuple[int, int]]:
     """Edges (u, v) with u < v of the adjacency rows, sorted."""
-    out = []
-    for u, row in enumerate(adj):
-        m = row >> (u + 1) << (u + 1)
-        while m:
-            b = m & -m
-            out.append((u, b.bit_length() - 1))
-            m ^= b
-    return out
+    return [(u, v) for u, row in enumerate(adj) for v in bits(row >> (u + 1) << (u + 1))]
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], max_n: int = MAX_VERTICES) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 1:
         raise GraphError("graph needs at least one vertex")
-    if max_n is not None and n > max_n:
-        raise GraphError(f"vertex count {n} exceeds {max_n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
     adj = [0] * n
     seen = set()
     for u, v in edges:
@@ -295,10 +284,8 @@ def parse_graph6(text: str) -> Graph:
         col = stream >> (j * (j - 1) // 2) & ((1 << j) - 1)
         adj[j] = col  # rows above j get their bit j only at later columns
         bit_j = 1 << j
-        while col:
-            b = col & -col
-            adj[b.bit_length() - 1] |= bit_j
-            col ^= b
+        for i in bits(col):
+            adj[i] |= bit_j
     return Graph(n, tuple(adj))
 
 
@@ -383,18 +370,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     index = {v: i for i, v in enumerate(vs)}
     adj = [0] * len(vs)
     for v in vs:
-        m = g.adj[v]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
+        for u in bits(g.adj[v]):
             if u in index:
                 adj[index[v]] |= 1 << index[u]
     return Graph(len(vs), tuple(adj))
-
-
-def induced_subgraph_mask(g: Graph, mask: int) -> Graph:
-    return induced_subgraph(g, bits(mask))
 
 
 def line_rows(adj: Sequence[int]) -> tuple[int, ...]:
@@ -422,31 +401,20 @@ def line_graph(g: Graph) -> Graph:
     return Graph(m, line_rows(g.adj))
 
 
-def graph_union(g1: Graph, g2: Graph) -> Graph:
-    n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphError("union exceeds vertex cap")
-    adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(n, tuple(adj))
-
-
-def graph_join(g1: Graph, g2: Graph) -> Graph:
-    n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphError("join exceeds vertex cap")
-    mask1 = (1 << g1.n) - 1
-    mask2 = ((1 << g2.n) - 1) << g1.n
-    adj = [row | mask2 for row in g1.adj]
-    adj += [(row << g1.n) | mask1 for row in g2.adj]
-    return Graph(n, tuple(adj))
-
-
 def graph_join_union(g1: Graph, g2: Graph, kind: str) -> Graph:
+    """Disjoint union of g1 and g2, g2 on vertices g1.n and up; ``kind`` "join"
+    also joins every vertex of one side to every vertex of the other."""
+    if kind not in ("join", "union"):
+        raise GraphError(f"unknown kind {kind!r}")
+    n = g1.n + g2.n
+    if n > MAX_VERTICES:
+        raise GraphError(f"{kind} exceeds vertex cap")
+    adj = list(g1.adj) + [row << g1.n for row in g2.adj]
     if kind == "join":
-        return graph_join(g1, g2)
-    if kind == "union":
-        return graph_union(g1, g2)
-    raise GraphError(f"unknown kind {kind!r}")
+        side1 = (1 << g1.n) - 1
+        side2 = ((1 << n) - 1) ^ side1
+        adj = [row | (side2 if v < g1.n else side1) for v, row in enumerate(adj)]
+    return Graph(n, tuple(adj))
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:

@@ -85,6 +85,7 @@ from .graphs import (
     Graph,
     adj_from_edge_mask,
     complement_adj,
+    edge_list,
     edge_slots,
     graph_classes,
     to_graph6,
@@ -485,18 +486,13 @@ def _identities_hold(n: int, adj) -> bool:
         if trim(sub(dependence(adj, full ^ (1 << v)), (0,) + inner)) != dg:
             return False
         total = add(total, inner)
-    for u in range(n):
-        mm = adj[u] & ~((1 << (u + 1)) - 1)
-        while mm:
-            b = mm & -mm
-            v = b.bit_length() - 1
-            mm ^= b
-            cut = list(adj)
-            cut[u] ^= 1 << v
-            cut[v] ^= 1 << u
-            inner = dependence(adj, adj[u] & adj[v])
-            if trim(add(dependence(cut, full), (0, 0) + inner)) != dg:
-                return False
+    for u, v in edge_list(adj):
+        cut = list(adj)
+        cut[u] ^= 1 << v
+        cut[v] ^= 1 << u
+        inner = dependence(adj, adj[u] & adj[v])
+        if trim(add(dependence(cut, full), (0, 0) + inner)) != dg:
+            return False
     return trim(derivative(dg)) == trim(neg(total))
 
 

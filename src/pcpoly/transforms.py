@@ -40,11 +40,7 @@ def kelmans(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[v] &= ~moved
     adj[u] |= moved
-    m = moved
-    while m:
-        b = m & -m
-        w = b.bit_length() - 1
-        m ^= b
+    for w in bits(moved):
         adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
     out = Graph(g.n, tuple(adj))
     assert out.edge_count == g.edge_count
@@ -59,14 +55,7 @@ def is_nontrivial_kelmans(g: Graph, u: int, v: int) -> bool:
     _check_pair(g, u, v)
     xs = g.adj[u] & ~g.adj[v] & ~(1 << v)
     ys = g.adj[v] & ~g.adj[u] & ~(1 << u)
-    m = xs
-    while m:
-        b = m & -m
-        x = b.bit_length() - 1
-        m ^= b
-        if g.adj[x] & ys:
-            return True
-    return False
+    return any(g.adj[x] & ys for x in bits(xs))
 
 
 def isolating(g: Graph, u: int, part1: Sequence[int]) -> Graph:
@@ -83,11 +72,7 @@ def isolating(g: Graph, u: int, part1: Sequence[int]) -> Graph:
         raise GraphError("u must belong to part1")
     full = (1 << g.n) - 1
     p2 = full & ~p1
-    m = p2
-    while m:
-        b = m & -m
-        w = b.bit_length() - 1
-        m ^= b
+    for w in bits(p2):
         inter = g.adj[w] & p1
         if inter != 0 and inter != p1:
             raise GraphError(f"part2 vertex {w} sees part1 only partially")
@@ -139,14 +124,9 @@ def threshold_vector_of(g: Graph) -> ThresholdVector | None:
     alive = (1 << g.n) - 1
     rev = []
     while alive.bit_count() > 1:
-        found = None
-        m = alive
         dominating = None
         isolated = None
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
+        for v in bits(alive):
             deg = (adj[v] & alive).bit_count()
             if deg == alive.bit_count() - 1:
                 dominating = v

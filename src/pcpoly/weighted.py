@@ -169,15 +169,14 @@ def mcmullen_growth(gw: WeightedGraph, width: Fraction = DEFAULT_WIDTH) -> RootE
 
 def lll_threshold(g: Graph, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
     """Exact uniform-probability threshold of the dependency graph: 1/beta of
-    the complement."""
-    s_width = width / 4
-    while True:
-        enc = beta(complement(g), s_width)
-        lo = 1 / enc.hi
-        hi = 1 / enc.lo
-        if hi - lo <= width:
-            return RootEnclosure(lo, hi, enc.multiplicity)
-        s_width /= 2**4
+    the complement.
+
+    beta >= 1, so an enclosure [lo, hi] of beta at most s <= 1/2 wide has
+    lo >= 1/2 and hi >= 1, and its reciprocal is at most (hi - lo)/(lo*hi) <= 2s
+    wide: s = min(width/4, 1/2) keeps the threshold within ``width``.
+    """
+    enc = beta(complement(g), min(width / 4, Fraction(1, 2)))
+    return RootEnclosure(1 / enc.hi, 1 / enc.lo, enc.multiplicity)
 
 
 class LLLResult(_Record):

@@ -197,6 +197,12 @@ def test_join_union():
         g2 = graph_from_edge_mask(5, rng.randrange(1 << len(slots)), slots)
         jj = graph_join_union(g1, g2, "join")
         assert jj.edge_count == g1.edge_count + g2.edge_count + 25
+    k40 = parse_graph("K40", "named")
+    with pytest.raises(GraphError, match="unknown kind 'x'"):  # before the size check
+        graph_join_union(k40, k40, "x")
+    for kind in ("join", "union"):
+        with pytest.raises(GraphError, match=f"{kind} exceeds vertex cap"):
+            graph_join_union(k40, k40, kind)
 
 
 def test_claw_free():

@@ -13,7 +13,7 @@ from pcpoly.cliquepoly import beta
 from pcpoly.graphs import (
     edge_slots,
     graph_from_edge_mask,
-    graph_union,
+    graph_join_union,
     parse_graph,
 )
 from pcpoly.monoid import (
@@ -183,7 +183,7 @@ def test_lie_dimensions_completely_commutative():
 
 def test_lie_dimensions_k2_union_k1():
     # independent oracle: power sums from the trace recurrence p_k = 3p_{k-1} - p_{k-2}
-    g = graph_union(parse_graph("K2", "named"), parse_graph("Kbar1", "named"))
+    g = graph_join_union(parse_graph("K2", "named"), parse_graph("Kbar1", "named"), "union")
     dims = lie_dimensions(g, 10).dims
     p = [2, 3]  # p_0 = 2 roots, p_1 = trace 3
     for _ in range(10):

@@ -93,6 +93,17 @@ def test_ladder_domination_is_certified(monkeypatch):
         random_root_ladder(2, F(1, 2), 1)
 
 
+@pytest.mark.parametrize("poly", [
+    (-1, 1, -1, 1),  # (x - 1)(x^2 + 1): a complex pair
+    (-2, 5, -4, 1),  # (x - 1)^2 (x - 2): a double root
+], ids=["complex-pair", "double-root"])
+def test_ladder_needs_n_real_simple_roots(monkeypatch, poly):
+    monkeypatch.setattr(randomgraph, "pc_random",
+                        lambda n, p: randomgraph.RandomPC(3, F(1, 2), poly))
+    with pytest.raises(AssertionError, match="real and simple"):
+        random_root_ladder(3, F(1, 2), 1)
+
+
 def test_ladder_structure():
     for n in (2, 3, 5, 6, 8):
         for p in GRID:

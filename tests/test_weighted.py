@@ -6,13 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import iter_all_graphs, weighted_clique_sum
-from pcpoly.cliquepoly import beta
+from pcpoly.cliquepoly import beta, pc_polynomial
+from pcpoly.exactpoly import DominantRoot
 from pcpoly.graphs import (
     complement,
     edge_list,
     edge_slots,
     graph_from_edge_mask,
-    graph_union,
+    graph_join_union,
     parse_graph,
 )
 from pcpoly.weighted import (
@@ -46,7 +47,7 @@ def test_weighted_dependence_examples():
     g1 = parse_graph("Kbar1", "named")
     dep = weighted_dependence(WeightedGraph(g1, (F(1),), (F(2),)))
     assert dep.L == 1 and dep.poly == (F(1), F(0), F(-1))  # 1 - x^2
-    k2k2 = graph_union(parse_graph("K2", "named"), parse_graph("K2", "named"))
+    k2k2 = graph_join_union(parse_graph("K2", "named"), parse_graph("K2", "named"), "union")
     dep = weighted_dependence(WeightedGraph.uniform(k2k2, 1, F(1, 2)))
     assert dep.L == 2 and dep.poly == (F(1), F(-4), F(2))  # 1 - 4 s + 2 s^2
 
@@ -64,12 +65,12 @@ def test_weighted_dependence_matches_networkx_clique_sum():
 
 
 def test_mcmullen_examples():
-    k2k2 = graph_union(parse_graph("K2", "named"), parse_graph("K2", "named"))
+    k2k2 = graph_join_union(parse_graph("K2", "named"), parse_graph("K2", "named"), "union")
     lam = mcmullen_growth(WeightedGraph.uniform(k2k2, 1, F(1, 2)))
     target = 6 + 4 * 2**0.5
     assert abs(float(lam.midpoint) - target) < 1e-10
     for n in (2, 3):
-        g = graph_union(parse_graph(f"K{n}", "named"), parse_graph("Kbar1", "named"))
+        g = graph_join_union(parse_graph(f"K{n}", "named"), parse_graph("Kbar1", "named"), "union")
         gw = WeightedGraph(g, (F(1),) * (n + 1), tuple([F(1, n)] * n + [F(1)]))
         lam = mcmullen_growth(gw)
         assert lam.lo <= 2**n <= lam.hi
@@ -136,6 +137,16 @@ def test_lll_threshold_examples():
     assert enc.lo <= 1 / b.lo and 1 / b.hi <= enc.hi
 
 
+@pytest.mark.parametrize("width", [F(1, 10**12), F(1), F(2), F(3), F(100)], ids=str)
+def test_lll_threshold_is_a_true_enclosure_within_width(width):
+    # 1/beta of the complement: never inverted, never wider than asked
+    for name in ("K1", "Kbar4", "K4", "P4", "C5", "star4", "K3,3", "K1,2,3", "thr0101"):
+        g = parse_graph(name, "named")
+        enc = lll_threshold(g, width)
+        assert enc.lo <= enc.hi and enc.hi - enc.lo <= width, name
+        assert DominantRoot(pc_polynomial(complement(g))).within(1 / enc.hi, 1 / enc.lo), name
+
+
 def test_lll_check_examples():
     res = lll_check(parse_graph("Kbar3", "named"), [0, 0, 0])
     assert res.feasible and res.bound == 1
@@ -198,4 +209,4 @@ def _random_gnk(rng, n, k):
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
-    return from_edges(n, pairs[:k], max_n=64)
+    return from_edges(n, pairs[:k])
