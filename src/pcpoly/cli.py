@@ -183,11 +183,10 @@ def _run(args) -> int:
             payload["independence_at_minus_one"] = value
             payload["decycling_number"] = phi
     elif args.command == "monoid":
-        from .monoid import count_normal_forms, lie_dimensions, m_sequence
+        from .monoid import lie_dimensions, m_sequence
 
         counts = m_sequence(g, args.length)
-        payload = {"recurrence": counts,
-                   "count_at_length": count_normal_forms(g, length=args.length)}
+        payload = {"recurrence": counts, "count_at_length": counts[-1]}
         if args.lie:
             payload["lie_dims"] = list(lie_dimensions(g, args.lie).dims)
     elif args.command == "transform":

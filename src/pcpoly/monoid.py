@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import _Record
 from .cliquepoly import clique_counts, pc_polynomial
-from .graphs import Graph
+from .graphs import Graph, graph_from_edge_mask
 
 Word = tuple
 
@@ -96,68 +96,7 @@ def _count_normal_direct(g: Graph, order: VertexOrder, maxlen: int) -> list[int]
     return counts
 
 
-def _automaton(g: Graph, order: VertexOrder):
-    """Blocked-letter automaton: state bit c set iff appending c is illegal.
-
-    After appending c, letter e stays tracked only while adjacent to c; it
-    becomes blocked once some smaller adjacent letter slips behind it.
-    """
-    rank = order.rank()
-    adj = g.adj
-    n = g.n
-    start = 0
-    transitions = {}
-    todo = [start]
-    seen = {start}
-    while todo:
-        state = todo.pop()
-        outs = []
-        for c in range(n):
-            if state >> c & 1:
-                outs.append(None)
-                continue
-            nxt = 0
-            row = adj[c]
-            rc = rank[c]
-            for e in range(n):
-                if row >> e & 1:
-                    bit = (state >> e & 1) or (rc > rank[e])
-                    if bit:
-                        nxt |= 1 << e
-            outs.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-        transitions[state] = outs
-    return transitions
-
-
-def _count_normal_automaton(g: Graph, order: VertexOrder, maxlen: int) -> list[int]:
-    transitions = _automaton(g, order)
-    dist = {0: 1}
-    counts = [1]
-    for _ in range(maxlen):
-        nxt: dict[int, int] = {}
-        for state, cnt in dist.items():
-            for out in transitions[state]:
-                if out is None:
-                    continue
-                nxt[out] = nxt.get(out, 0) + cnt
-        counts.append(sum(nxt.values()))
-        dist = nxt
-    return counts
-
-
 DIRECT_LIMIT = 16
-
-
-def count_normal_forms(g: Graph, order: VertexOrder | None = None, length: int = 0) -> int:
-    """Exact number of normal forms of the given length, by the blocked-letter automaton."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if order is None:
-        order = VertexOrder.default(g.n)
-    return _count_normal_automaton(g, order, length)[length]
 
 
 def normal_form_counts(g: Graph, order: VertexOrder | None = None,
@@ -165,7 +104,7 @@ def normal_form_counts(g: Graph, order: VertexOrder | None = None,
     """Counts for all lengths 0..maxlen in one pass, by direct enumeration.
 
     It enumerates normal prefixes (length capped at 16) and is the reference
-    that the monoid census and the tests check the automaton against.
+    that the monoid census and the tests check the clique recurrence against.
     """
     if order is None:
         order = VertexOrder.default(g.n)
@@ -179,8 +118,17 @@ def m_sequence(g: Graph, upto: int) -> list[int]:
     return _word_counts(clique_counts(g.adj, g.n), upto)
 
 
+def count_normal_forms(g: Graph, length: int) -> int:
+    """Exact number of normal forms of the given length: m_length of the clique
+    recurrence.  The normal forms depend on the vertex order, their number does
+    not (Cartier and Foata)."""
+    return m_sequence(g, length)[length]
+
+
 def _word_counts(counts, upto: int) -> list:
     """m_0..m_upto: m_0 = 1 and m_t = sum_j (-1)^(j+1) counts[j] m_(t-j) over j >= 1."""
+    if upto < 0:
+        raise ValueError("length must be nonnegative")
     w = len(counts) - 1
     ms = [1]
     for t in range(1, upto + 1):
@@ -272,9 +220,7 @@ def word_weight(word, p) -> Fraction:
         return Fraction(1)
     letters = sorted(set(word))  # ascending index = descending order
     mult = {a: 0 for a in letters}
-    positions: dict = {a: [] for a in letters}
-    for idx, a in enumerate(word):
-        positions[a].append(idx)
+    for a in word:
         mult[a] += 1
     # tagged alphabet: (letter, occurrence); order is by letter rank then tag
     tagged = []
@@ -287,7 +233,6 @@ def word_weight(word, p) -> Fraction:
     for a in word:
         tagged_word.append(index[(a, seen[a])])
         seen[a] += 1
-    rank = list(range(len(tagged)))  # tagged list is already in descending order
     cross = [
         (i, j)
         for i in range(len(tagged))
@@ -298,19 +243,10 @@ def word_weight(word, p) -> Fraction:
         raise ValueError(f"too many cross pairs ({len(cross)} > {MAX_CROSS_PAIRS})")
     total = Fraction(0)
     nverts = len(tagged)
-    order = VertexOrder(tuple(range(nverts)))
+    order = VertexOrder.default(nverts)  # the tagged list is already in descending order
+    tagged_word = tuple(tagged_word)
     for mask in range(1 << len(cross)):
-        adj = [0] * nverts
-        mm = mask
-        ecount = 0
-        while mm:
-            b = mm & -mm
-            i, j = cross[b.bit_length() - 1]
-            mm ^= b
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            ecount += 1
-        graph = Graph(nverts, tuple(adj))
-        if is_normal_form(tuple(tagged_word), graph, order):
+        if is_normal_form(tagged_word, graph_from_edge_mask(nverts, mask, cross), order):
+            ecount = mask.bit_count()
             total += p**ecount * (1 - p) ** (len(cross) - ecount)
     return total

@@ -37,10 +37,10 @@ process and n, on first use, and their construction checks run in that
 build.  The verdict cache, the events and the result belong to one run and
 are never reused (DECISIONS.md, D9).
 
-``survey_nonreal``, ``survey_bounds``, ``average_beta``,
-``census_extremal_check`` and ``graph_census_csv`` are views of :func:`run`
-in the shapes their callers read.  The first and the fourth ignore their
-``threads`` argument, which the benchmark harness passes positionally.
+``survey_nonreal``, ``survey_bounds``, ``average_beta`` and
+``census_extremal_check`` are views of :func:`run` in the shapes their
+callers read.  The first and the fourth ignore their ``threads`` argument,
+which the benchmark harness passes positionally.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ from types import SimpleNamespace
 from . import _Record
 from .cliquepoly import (
     clique_counts,
-    decycling_number,
     dependence_poly_from_counts,
-    independence_polynomial,
+    independence_at_minus_one,
     is_complete_multipartite_equal_parts,
     pc_poly_from_counts,
 )
@@ -68,7 +67,6 @@ from .exactpoly import (
     count_nonreal_roots,
     derivative,
     dominant_real_root,
-    eval_at,
     neg,
     sub,
     trim,
@@ -590,14 +588,10 @@ def _sum_dump(events, n, width) -> dict:
     return {"csv": "n,k,graph6,beta_lo,beta_hi,flags\n" + "\n".join(events) + "\n"}
 
 
-def graph_census_csv(n: int, width: Fraction = _WIDTH) -> str:
-    """Per-graph census rows: n, k, graph6, beta_lo, beta_hi, flags, in edge-mask order."""
-    return run("dump", n, width).tallies["csv"]
-
-
 def _visit_decycling(adj, verdict, events, weight):
     g = Graph(len(adj), adj)
-    if abs(eval_at(independence_polynomial(g), -1)) > 2 ** decycling_number(g):
+    value, phi = independence_at_minus_one(g)
+    if abs(value) > 2 ** phi:
         events[to_graph6(g)] += weight
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 import pcpoly
 from pcpoly import cliquepoly, matching
 from pcpoly.cli import main
-from pcpoly.graphs import Graph, to_graph6
+from pcpoly.graphs import Graph, from_edges, to_graph6
 from pcpoly.survey import CENSUSES
 
 
@@ -64,6 +65,17 @@ def test_monoid_verb(capsys):
     code, payload = _run_json(capsys, "monoid", "P3", "--length", "4", "--lie", "3")
     assert payload["recurrence"] == [1, 3, 7, 15, 31]
     assert payload["count_at_length"] == 31
+
+
+def test_monoid_verb_answers_fast_on_a_dense_40_vertex_graph(capsys):
+    rng = random.Random(4008)
+    g = from_edges(40, [(i, j) for i in range(40) for j in range(i + 1, 40)
+                        if rng.random() < 0.8])
+    start = time.perf_counter()
+    code, payload = _run_json(capsys, "monoid", to_graph6(g), "--fmt", "graph6")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and len(payload["recurrence"]) == 9
+    assert payload["count_at_length"] == payload["recurrence"][-1]
 
 
 def test_extremal_verbs(capsys):

@@ -1,15 +1,14 @@
 """Dead-code scan of the package source: every definition has a reader.
 
-Static, by ``ast`` and ``re`` alone.  A top-level function or class of
-``src/pcpoly`` that is not a dunder must be named somewhere in ``src/pcpoly``
-outside its own definition (as code, or as a word of a string, which covers
-lookups by name), be public (``pcpoly.__all__``) or be timed by the bench (a
-target of ``bench/spans.py`` ``LAYERS``).  A method that is not a dunder must
+Static, by ``ast`` alone.  A top-level function or class of ``src/pcpoly``
+that is not a dunder must be named as code somewhere in ``src/pcpoly``
+outside its own definition (a name in a string or docstring does not count),
+be public (``pcpoly.__all__``) or be timed by the bench (a target of
+``bench/spans.py`` ``LAYERS``).  A method that is not a dunder must
 be read as ``.name`` somewhere in the package, the tests or the bench.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pcpoly
@@ -23,8 +22,7 @@ def _tree(path: Path) -> ast.Module:
 
 
 def _names(node: ast.AST) -> set:
-    """Every identifier that ``node`` names: variables, attributes, imports and
-    the words of its strings."""
+    """Every identifier that ``node`` names as code: variables, attributes and imports."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -33,8 +31,6 @@ def _names(node: ast.AST) -> set:
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name.split(".")[-1])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.update(re.findall(r"\w+", sub.value))
     return out
 
 
