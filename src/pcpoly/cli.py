@@ -189,6 +189,11 @@ def _run(args) -> int:
         payload = {"recurrence": counts, "count_at_length": counts[-1]}
         if args.lie:
             payload["lie_dims"] = list(lie_dimensions(g, args.lie).dims)
+        # m_t never decreases, so m_length and the largest Lie dimension are the largest numbers
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or before 3.10.7): none
+        for flag, top in (("--length", counts[-1]), ("--lie", max(payload.get("lie_dims", [0])))):
+            if limit and top >= 10**limit:
+                raise ValueError(f"{flag} too large: an answer has more than {limit} digits")
     elif args.command == "transform":
         from .transforms import kelmans, reduce_to_threshold, steps_to_json
 

@@ -1,8 +1,9 @@
-"""Simple undirected graphs on up to 64 vertices, stored as bitset rows.
+"""Simple undirected graphs stored as bitset rows.
 
 Vertices are labelled 0..n-1.  ``adj[i]`` is an integer whose bit ``j`` is
 set iff ``(i, j)`` is an edge.  Graphs are immutable values; every
-constructor validates symmetry and looplessness.
+constructor validates symmetry and looplessness.  Parsed input and the
+named constructors refuse more than 64 vertices; a ``Graph`` has no cap.
 """
 
 from __future__ import annotations

@@ -144,8 +144,6 @@ def _word_counts(counts, upto: int) -> list:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
     result = 1
     d = 2
     while d * d <= n:
@@ -184,12 +182,13 @@ def lie_dimensions(g: Graph, upto: int) -> LieDims:
         raise ValueError("Lie degree must be nonnegative")
     pc = pc_polynomial(g)
     psums = _power_sums(pc, upto)
+    totals = [0] * (upto + 1)  # totals[n] = sum over d | n of mu(d) p_(n/d)
+    for d in range(1, upto + 1):
+        mu = _mobius(d)
+        for m in range(1, upto // d + 1):
+            totals[d * m] += mu * psums[m]
     dims = []
-    for n in range(1, upto + 1):
-        total = 0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total += _mobius(d) * psums[n // d]
+    for n, total in enumerate(totals[1:], 1):
         if total % n != 0:
             raise ArithmeticError(f"inexact Witt division at degree {n}")
         val = total // n

@@ -72,9 +72,11 @@ from .exactpoly import (
     trim,
 )
 from .extremal import (
-    _split_edges,
     apollonian_pc,
+    beta_bounds,
     is_planar_small,
+    max_beta_equality_family,
+    max_beta_graph,
     max_beta_pc,
     min_beta_graph,
     planar_extremes,
@@ -248,26 +250,32 @@ def average_beta(n: int, width: Fraction = _WIDTH):
 def _decide_bounds(counts, n: int):
     """(Fisher equality, violated bounds, edge-density envelope) of a profile.
 
-    Fisher equality is a violation only for a graph that is not complete
-    multipartite with equal parts, which the caller checks per graph.
+    The bounds are those of :func:`extremal.beta_bounds` at n and k, each
+    named by its key, plus n/omega below and n above.  Fisher equality is
+    a violation only for a graph that is not complete multipartite with
+    equal parts, which the caller checks per graph.
     """
-    omega = len(counts) - 1
     k = _edges(counts)
+    bounds = beta_bounds(n, k)
     pc = pc_poly_from_counts(counts)
     b = AlgebraicReal.dominant_root(pc, Fraction(1, 10**9))
     # edge density envelope e(G) = (n - beta)/k, read before the comparisons narrow b
     envelope = ((n - b.hi) / k, (n - b.lo) / k) if k else None
     names = []
-    cmp_fisher = b.compare_fraction(Fraction(n * n - 2 * k, n))
+    cmp_fisher = b.compare_fraction(bounds["fisher_lower"])
     if cmp_fisher < 0:
         names.append("fisher_lower")
-    if b.compare_fraction(Fraction(n, omega)) < 0:
+    if b.compare(_target(bounds["fisher_nonis_lower"])) < 0:
+        names.append("fisher_nonis_lower")
+    if b.compare_fraction(Fraction(n, len(counts) - 1)) < 0:  # n/omega
         names.append("clique_number_lower")
     if b.compare_fraction(Fraction(n)) > 0:
         names.append("vertex_upper")
     if k and count_nonreal_roots(pc) == 0:
-        if b.compare_fraction(Fraction(n * n - k, n)) > 0:
+        if b.compare_fraction(bounds["samuelson_upper"]["value"]) > 0:
             names.append("samuelson_upper")
+    if b.compare(_target(bounds["sqrt_upper"])) > 0:
+        names.append("sqrt_upper")
     if envelope and envelope[0] > Fraction(2, n):
         names.append("edge_density_upper")
     return cmp_fisher == 0 and k > 0, tuple(names), envelope
@@ -325,65 +333,35 @@ def _prepare_extremal_targets(n: int):
         res = min_beta_graph(n, k)
         targets[k] = {
             "max_pc": pc_star,
-            "max": AlgebraicReal.dominant_root(pc_star, _TARGET_WIDTH),
+            "max": _target(max_beta_graph(n, k).predicted_beta, pc_star),
+            "family": max_beta_equality_family(n, k),
             "min": _target(res.predicted_beta),
             "conditional": res.conditional,
         }
     return targets
 
 
-def _decide_extremal(counts, targets) -> tuple[int, int]:
-    """Exact signs of beta minus the maximum and minus the minimum at its k."""
+def _decide_extremal(counts, targets) -> tuple[int, int, set]:
+    """At its k: exact signs of beta minus the maximum and the minimum, and the maximisers."""
     tgt = targets[_edges(counts)]
     pc = pc_poly_from_counts(counts)
     root = DominantRoot(pc)
     # equal polynomials have equal largest roots
     to_max = 0 if pc == tgt["max_pc"] else root.sign(tgt["max"], -1)
-    if len(counts) <= 3:
-        return to_max, 0  # triangle-free: the growth rate is the quadratic value exactly
-    return to_max, root.sign(tgt["min"], 1)
-
-
-def _max_shape(adj, counts) -> bool:
-    """Whether the graph has the shape of the maximiser family at its k edges.
-
-    With k = C(d,2) + e and 0 <= e < d: some d-set C is a clique, and either
-    e <= 1 (the other e edges may then lie anywhere) or some v outside C has
-    degree e and N(v) inside C.  ``counts`` are the graph's clique counts.
-    The shape is an isomorphism invariant, and its labelled graphs are
-    ``max_beta_equality_family(n, k)``.
-    """
-    k = _edges(counts)
-    if k == 0:
-        return True
-    d, e = _split_edges(k)
-    if len(counts) <= d:  # no d-clique
-        return False
-    if e <= 1:
-        return True
-    n = len(adj)
-    for v in range(n):
-        if adj[v].bit_count() == e:
-            # G - v has C(d,2) edges, so it is K_d plus isolated vertices iff
-            # exactly d vertices keep an edge
-            rest = 0
-            for u in range(n):
-                if u != v:
-                    rest |= adj[u]
-            rest &= ~(1 << v)
-            if rest.bit_count() == d and not adj[v] & ~rest:
-                return True
-    return False
+    # triangle-free: the growth rate is the quadratic value exactly
+    to_min = 0 if len(counts) <= 3 else root.sign(tgt["min"], 1)
+    return to_max, to_min, tgt["family"]
 
 
 def _visit_extremal(adj, verdict, events, weight):
     n = len(adj)
     counts = tuple(clique_counts(adj, n))
     k = _edges(counts)
-    to_max, to_min = verdict(counts)
+    to_max, to_min, family = verdict(counts)
     if to_max > 0:
         events["max_violation", k, _g6(adj)] += weight
-    if (to_max == 0) != _max_shape(adj, counts):
+    # the family is closed under relabelling, so a class lies in it iff its rows do
+    if (to_max == 0) != (adj in family):
         events["max_family_mismatch", k, None] += weight
     if to_min < 0:
         events["min_violation", k, _g6(adj)] += weight

@@ -136,8 +136,9 @@ def test_survey_extremal_verb(capsys, monkeypatch):
     ]
     assert payload["max_violations"] == payload["min_violations"] == []
     assert payload["max_family_exact"] == {str(k): True for k in range(11)}
-    # a shape test that rejects every graph makes the family check fail
-    monkeypatch.setattr(pcpoly.survey, "_max_shape", lambda adj, counts: False)
+    # an empty maximiser family at every k makes the family check fail
+    for target in pcpoly.survey._prepare_extremal_targets(5).values():
+        monkeypatch.setitem(target, "family", set())
     code, payload = _run_json(capsys, "survey", "extremal", "5")
     assert code == 1 and not any(payload["max_family_exact"].values())
 
@@ -188,6 +189,18 @@ def test_a_census_violation_exits_1(capsys, monkeypatch, name, fn, fake):
         (["transform", "K3", "--kelmans", "-1", "2"], "vertex -1 out of range for 3 vertices"),
         (["random", "beta", "--n", "200"], "capped at n = 64"),
         (["random", "ladder", "--r", "1", "--t", "2000"], "capped at t = 64"),
+        # answers past the interpreter's digit limit for printing an integer
+        (["monoid", "Kbar5", "--length", "10000"], "--length too large"),
+        (["monoid", "P3", "--lie", "20000"], "--lie too large"),
+        # malformed edge lists, and named graphs on more than 64 vertices
+        (["beta", "x; 0 1", "--fmt", "edge-list"], "bad vertex count: 'x'"),
+        (["beta", ";", "--fmt", "edge-list"], "edge list must start with the vertex count"),
+        (["beta", "3; 0", "--fmt", "edge-list"], "bad edge entry: '0'"),
+        (["beta", "3; 0 5", "--fmt", "edge-list"], "edge (0, 5) out of range"),
+        (["beta", "K65"], "too many vertices"),
+        (["beta", "Kbar65"], "too many vertices"),
+        (["beta", "K40,40"], "vertex count 80 exceeds 64"),
+        (["beta", "thr" + "0" * 64], "vertex count 65 exceeds 64"),
     ],
 )
 def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
@@ -196,6 +209,14 @@ def test_user_errors_exit_2_with_one_line(capsys, argv, fragment):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pcpoly: error: ") and fragment in lines[0]
+
+
+def test_monoid_prints_a_long_recurrence_within_the_digit_limit(capsys):
+    # m_t of K5 is C(t+4, 4), far below 5^t, so the whole recurrence prints
+    assert main(["monoid", "K5", "--length", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"count_at_length: {math.comb(10004, 4)}\n")
+    assert len(out.encode()) == 154105
 
 
 def test_random_ladder_honours_width(capsys):

@@ -156,33 +156,6 @@ def test_bounds_examples():
     assert hi.to_algebraic().compare_fraction(lo.to_algebraic().lo) > 0
 
 
-def test_bounds_sandwich_census():
-    for n in (4, 5):
-        slots = edge_slots(n)
-        for mask in range(1 << len(slots)):
-            g = graph_from_edge_mask(n, mask, slots)
-            k = g.edge_count
-            bounds = beta_bounds(n, k)
-            b = beta_algebraic(g)
-            assert b.compare_fraction(bounds["fisher_lower"]) >= 0
-            low = bounds["fisher_nonis_lower"]
-            if isinstance(low, QuadSurd) and not low.is_rational():
-                assert b.compare(low.to_algebraic()) >= 0
-            else:
-                val = low.as_fraction() if isinstance(low, QuadSurd) else low
-                assert b.compare_fraction(val) >= 0
-            up = bounds["sqrt_upper"]
-            if not up.is_rational():
-                assert b.compare(up.to_algebraic()) <= 0
-            else:
-                assert b.compare_fraction(up.as_fraction()) <= 0
-            wlo, whi = bounds["corollary94_window"]
-            if k:
-                val = wlo.to_algebraic() if not wlo.is_rational() else None
-                # window lower bound holds for the minimum, hence not for all
-                # graphs; only check the census minimum later
-
-
 def test_corollary94_window_on_minimum():
     n = 5
     for k in range(1, n * (n - 1) // 2 + 1):

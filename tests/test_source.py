@@ -6,6 +6,8 @@ outside its own definition (a name in a string or docstring does not count),
 be public (``pcpoly.__all__``) or be timed by the bench (a target of
 ``bench/spans.py`` ``LAYERS``).  A method that is not a dunder must
 be read as ``.name`` somewhere in the package, the tests or the bench.
+Every top-level function or class of ``tests/oracles.py`` must be named as
+code by some ``tests/test_*.py``.
 """
 
 import ast
@@ -72,3 +74,11 @@ def test_every_method_is_read_somewhere():
         read |= {a.attr for a in ast.walk(_tree(path))
                  if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Load)}
     assert [m for m in methods if m[1] not in read] == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = ROOT / "tests"
+    defined = [node.name for node in _tree(tests / "oracles.py").body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    used = set().union(*(_names(_tree(path)) for path in tests.glob("test_*.py")))
+    assert defined and [name for name in defined if name not in used] == []

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import census_csv, iter_all_graphs
 from pcpoly import exactpoly, survey
-from pcpoly.extremal import max_beta_construction, max_beta_equality_family
+from pcpoly.extremal import max_beta_construction
 from pcpoly.graphs import (
     adj_from_edge_mask,
     canonical_form,
@@ -18,8 +18,8 @@ from pcpoly.graphs import (
     edge_slots,
     graph_classes,
 )
-from pcpoly.cliquepoly import clique_counts, clique_profile
-from pcpoly.exactpoly import AlgebraicReal
+from pcpoly.cliquepoly import clique_profile
+from pcpoly.exactpoly import AlgebraicReal, QuadSurd, RootEnclosure
 from pcpoly.matching import adjoint_polynomial, matching_counts
 from pcpoly.survey import (
     CENSUSES,
@@ -101,28 +101,12 @@ def test_planar_census_rejects_n_above_6_before_generating_classes(monkeypatch):
         run("planar", 7)
 
 
-def test_max_shape_is_the_equality_family():
-    # the shape test is what census_extremal_check compares the maximum with
-    def shape(adj):
-        return survey._max_shape(adj, clique_counts(adj, len(adj)))
-
-    for n in range(1, 8):
-        classes = graph_classes(n)
-        for k in range(n * (n - 1) // 2 + 1):
-            family = max_beta_equality_family(n, k)
-            assert all(shape(adj) for adj in family), (n, k)
-            weight = sum(w for rows, w in classes
-                         if sum(r.bit_count() for r in rows) == 2 * k and shape(rows))
-            assert weight == len(family), (n, k)
-
-
 def test_max_family_check_is_live(monkeypatch):
     # reject one attaining class, K3 plus a pendant edge at n=5, k=4
     rows, _ = canonical_form(max_beta_construction(5, 4).adj)
     assert rows in dict(graph_classes(5))
-    shape = survey._max_shape
-    monkeypatch.setattr(survey, "_max_shape",
-                        lambda adj, counts: adj != rows and shape(adj, counts))
+    target = survey._prepare_extremal_targets(5)[4]
+    monkeypatch.setitem(target, "family", target["family"] - {rows})
     res = census_extremal_check(5)
     assert res["max_family_exact"] == {k: k != 4 for k in range(11)}
     assert res["max_violations"] == []
@@ -244,6 +228,32 @@ def test_extremal_census_certifies_the_printed_minimum(monkeypatch):
     monkeypatch.setattr(extremal, "_assert_is_beta", refuse_below_mantel)
     with pytest.raises(AssertionError, match="triangle-free minimum checked"):
         census_extremal_check(6)
+
+
+def test_extremal_census_certifies_the_printed_maximum(monkeypatch):
+    from pcpoly import extremal
+
+    check = extremal._assert_is_beta
+
+    def refuse_enclosures(g, pred):
+        if isinstance(pred, RootEnclosure):  # of the extremes, only the maximum is one
+            raise AssertionError("enclosed maximum checked")
+        check(g, pred)
+
+    _clear_targets()
+    monkeypatch.setattr(extremal, "_assert_is_beta", refuse_enclosures)
+    with pytest.raises(AssertionError, match="enclosed maximum checked"):
+        census_extremal_check(6)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sqrt_upper", QuadSurd.make(0, 1, 1)),  # 1, below every beta but K4's
+    ("fisher_nonis_lower", QuadSurd.make(4, 0, 1)),  # 4, above every beta but the edgeless one's
+])
+def test_bounds_census_checks_beta_bounds(monkeypatch, key, value):
+    bounds = survey.beta_bounds
+    monkeypatch.setattr(survey, "beta_bounds", lambda n, k: {**bounds(n, k), key: value})
+    assert key in {name for _, name in run("bounds", 4).violations}
 
 
 def _lll_key(g):

@@ -99,6 +99,15 @@ def test_matrix_correspondence_random():
         matrix_to_weighted_graph(mat)  # identity asserted inside
 
 
+def test_matrix_realization_past_64_cycles():
+    # the cycle graph is built as rows, not by from_edges, which refuses more
+    # than 64 vertices: the all-ones matrices of order 5 and 6 have 89 and 415
+    # simple cycles
+    for m, cycles in ((5, 89), (6, 415)):
+        gw = matrix_to_weighted_graph([[1] * m] * m)  # identity asserted inside
+        assert gw.graph.n == cycles
+
+
 def test_weighted_dominance_lemma():
     # coprime integer exponents + connected complement: the smallest-modulus
     # root of the weighted sum is the unique root at that modulus
